@@ -6,26 +6,16 @@
 // model with the FPGA timing model (block 32 saves a pipeline stage but
 // clocks ~10% slower — which wins?).
 //
-// A second section measures the WALL-CLOCK cost of the match engine
-// itself (ns of host time per probe, not simulated ns) — the number that
-// bounds how fast sweeps run.  `--json <path>` dumps those results for
-// scripts/bench_report.py and the CI perf-smoke gate; `--iters N` scales
-// the measurement loops (CI uses a reduced budget).
+// Host time per probe (the wall-clock cost of AlpuArray::match) is the
+// `alpu.match_ns` metric of bench/e2e, not this binary's job.
 #include <cassert>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "alpu/alpu.hpp"
-#include "common/flags.hpp"
 #include "common/table.hpp"
 #include "fpga/area_model.hpp"
 #include "sim/engine.hpp"
-#include "workload/scenarios.hpp"
 
 namespace {
 
@@ -126,132 +116,9 @@ MicroResult run_micro(std::size_t cells, std::size_t block,
   return out;
 }
 
-// ---- wall-clock match-engine section --------------------------------------
-
-using Clock = std::chrono::steady_clock;
-
-double elapsed_ns(Clock::time_point t0, Clock::time_point t1) {
-  return std::chrono::duration<double, std::nano>(t1 - t0).count();
-}
-
-/// Build a full array of non-matching entries (the worst-case probe
-/// scans every cell before the priority network reports a miss).
-hw::AlpuArray make_full_array(std::size_t cells) {
-  hw::AlpuArray array(hw::AlpuFlavor::kPostedReceive, cells, 16);
-  for (std::size_t i = 0; i < cells; ++i) {
-    const auto p = match::make_recv_pattern(
-        0, 1, static_cast<std::uint32_t>(i % 512));
-    const bool ok = array.insert(p.bits, p.mask,
-                                 static_cast<match::Cookie>(i));
-    assert(ok);
-    (void)ok;
-  }
-  return array;
-}
-
-/// Host ns per match() probe against a full `cells`-entry array.
-double measure_match_ns(std::size_t cells, std::uint64_t iters) {
-  const hw::AlpuArray array = make_full_array(cells);
-  const hw::Probe miss{match::pack(match::Envelope{1, 1, 1}), 0, 0};
-  // Warm up (page in the planes, settle the branch predictors).
-  std::uint64_t sink = 0;
-  for (int i = 0; i < 1000; ++i) sink += array.match(miss).hit;
-  const auto t0 = Clock::now();
-  for (std::uint64_t i = 0; i < iters; ++i) {
-    sink += array.match(miss).hit;
-  }
-  const auto t1 = Clock::now();
-  if (sink != 0) std::abort();  // miss probe must never hit (and defeats DCE)
-  return elapsed_ns(t0, t1) / static_cast<double>(iters);
-}
-
-/// Host ns per match_tree() probe (the hardware-fidelity reduction).
-double measure_match_tree_ns(std::size_t cells, std::uint64_t iters) {
-  const hw::AlpuArray array = make_full_array(cells);
-  const hw::Probe miss{match::pack(match::Envelope{1, 1, 1}), 0, 0};
-  std::uint64_t sink = 0;
-  for (int i = 0; i < 100; ++i) sink += array.match_tree(miss).hit;
-  const auto t0 = Clock::now();
-  for (std::uint64_t i = 0; i < iters; ++i) {
-    sink += array.match_tree(miss).hit;
-  }
-  const auto t1 = Clock::now();
-  if (sink != 0) std::abort();
-  return elapsed_ns(t0, t1) / static_cast<double>(iters);
-}
-
-/// Simulated events executed per wall-clock second for one full-machine
-/// Figure-5 data point (ALPU-256, 200-entry queue).
-double measure_events_per_sec(int runs) {
-  std::uint64_t events = 0;
-  const auto t0 = Clock::now();
-  for (int i = 0; i < runs; ++i) {
-    workload::PrepostedParams p;
-    p.mode = workload::NicMode::kAlpu256;
-    p.queue_length = 200;
-    events += workload::run_preposted(p).events_executed;
-  }
-  const auto t1 = Clock::now();
-  return static_cast<double>(events) / (elapsed_ns(t0, t1) * 1e-9);
-}
-
-struct WallClockResults {
-  std::vector<std::pair<std::size_t, double>> match_ns;       // cells, ns
-  std::vector<std::pair<std::size_t, double>> match_tree_ns;  // cells, ns
-  double events_per_sec = 0.0;
-  std::uint64_t iters = 0;
-};
-
-WallClockResults run_wall_clock(std::uint64_t iters) {
-  WallClockResults r;
-  r.iters = iters;
-  for (std::size_t cells : {64u, 128u, 256u}) {
-    r.match_ns.emplace_back(cells, measure_match_ns(cells, iters));
-  }
-  // match_tree touches every comparator by construction; give it a
-  // tenth of the budget so the section stays quick.
-  const std::uint64_t tree_iters = iters / 10 > 0 ? iters / 10 : 1;
-  r.match_tree_ns.emplace_back(256, measure_match_tree_ns(256, tree_iters));
-  r.events_per_sec = measure_events_per_sec(3);
-  return r;
-}
-
-void write_json(const WallClockResults& r, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"bench\": \"alpu_match\",\n");
-  std::fprintf(f, "  \"iters\": %llu,\n",
-               static_cast<unsigned long long>(r.iters));
-  std::fprintf(f, "  \"match_ns_per_probe\": {");
-  for (std::size_t i = 0; i < r.match_ns.size(); ++i) {
-    std::fprintf(f, "%s\"%zu\": %.3f", i ? ", " : "", r.match_ns[i].first,
-                 r.match_ns[i].second);
-  }
-  std::fprintf(f, "},\n  \"match_tree_ns_per_probe\": {");
-  for (std::size_t i = 0; i < r.match_tree_ns.size(); ++i) {
-    std::fprintf(f, "%s\"%zu\": %.3f", i ? ", " : "",
-                 r.match_tree_ns[i].first, r.match_tree_ns[i].second);
-  }
-  std::fprintf(f, "},\n  \"events_per_sec\": %.0f\n}\n", r.events_per_sec);
-  std::fclose(f);
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto flags_opt = common::Flags::parse(argc, argv);
-  if (!flags_opt.has_value()) {
-    std::fprintf(stderr,
-                 "usage: bench_alpu_micro [--iters N] [--json <path>]\n");
-    return 2;
-  }
-  const common::Flags& flags = *flags_opt;
-  const auto iters =
-      static_cast<std::uint64_t>(flags.get_int("iters", 2'000'000));
-
+int main() {
   std::printf("=== ALPU cycle-model micro-benchmarks ===\n\n");
 
   // At the simulation's assumed ASIC speed (500 MHz, 7-cycle pipeline).
@@ -290,26 +157,5 @@ int main(int argc, char** argv) {
   std::printf("Reading: block 32 trades one pipeline stage (6 vs 7 cycles)\n"
               "against ~10%% clock: the configurations end up within a few\n"
               "ns of each other, so area (Table IV) decides.\n");
-
-  // Wall-clock section: host-time cost of the match engine itself.
-  std::printf("\n=== Match-engine wall-clock (host ns, miss probe over a "
-              "full array) ===\n\n");
-  const WallClockResults wc = run_wall_clock(iters);
-  common::TextTable wt;
-  wt.set_header({"cells", "match (ns/probe)", "match_tree (ns/probe)"});
-  for (const auto& [cells, ns] : wc.match_ns) {
-    std::string tree = "-";
-    for (const auto& [tc, tns] : wc.match_tree_ns) {
-      if (tc == cells) tree = common::fmt_double(tns, 2);
-    }
-    wt.add_row({std::to_string(cells), common::fmt_double(ns, 2), tree});
-  }
-  std::printf("%s\n", wt.render().c_str());
-  std::printf("full-machine simulation rate: %.0f events/s\n",
-              wc.events_per_sec);
-
-  if (flags.has("json")) {
-    write_json(wc, flags.get("json", ""));
-  }
   return 0;
 }

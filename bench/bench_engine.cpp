@@ -16,14 +16,14 @@
 //     buys.  On a single-CPU host the ratio sits near (or below) 1 —
 //     it is reported, never gated.
 //
-//   bench_engine [--iters N] [--shards N] [--ranks N] [--json <path>]
+//   bench_engine [--iters N] [--shards N] [--ranks N] [--repeats N]
 //
-// `--json` emits the machine-parsable block scripts/bench_report.py
-// --suite engine consumes and gates (events/s, slowdown-only).
+// Single-threaded host time per event and per message is measured by
+// bench/e2e (`sim.event_ns`, `host_ns_per_msg`); this binary stays for
+// the shard speedup, which bench/e2e does not run.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "common/flags.hpp"
@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
   if (!flags_opt.has_value()) {
     std::fprintf(stderr,
                  "usage: bench_engine [--iters N] [--shards N] [--ranks N]"
-                 " [--json <path>]\n");
+                 " [--repeats N]\n");
     return 2;
   }
   const alpu::common::Flags& flags = *flags_opt;
@@ -135,25 +135,5 @@ int main(int argc, char** argv) {
   std::printf("shard speedup:       %.2fx wall-clock (informational; needs"
               " >= %d cores to mean anything)\n",
               speedup, shards);
-
-  if (flags.has("json")) {
-    const std::string path = flags.get("json", "");
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"engine\",\n");
-    std::fprintf(f, "  \"iters\": %llu,\n",
-                 static_cast<unsigned long long>(iters));
-    std::fprintf(f, "  \"ranks\": %d,\n  \"shards\": %d,\n", ranks, shards);
-    std::fprintf(f, "  \"engine_events_per_sec\": %.0f,\n", churn);
-    std::fprintf(f, "  \"machine_events_per_sec\": %.0f,\n",
-                 serial.events_per_sec);
-    std::fprintf(f, "  \"sharded_events_per_sec\": %.0f,\n",
-                 sharded.events_per_sec);
-    std::fprintf(f, "  \"shard_speedup\": %.3f\n}\n", speedup);
-    std::fclose(f);
-  }
   return 0;
 }

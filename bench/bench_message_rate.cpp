@@ -1,92 +1,22 @@
-// Gap / message-rate study (the Section I motivation), plus the
-// wall-clock gate on the simulator's per-message control path.
+// Gap / message-rate study (the Section I motivation).
 //
-// Two jobs in one binary:
-//
-//   * the paper-facing table (default output): the introduction ranks
-//     gap (the inverse message rate) as the second-largest application
-//     impact after overhead, and identifies queue traversal on the NIC
-//     as what inflates it.  A burst of back-to-back messages streams
-//     into a receiver with a standing posted queue; the achieved
-//     per-message gap and message rate are reported for the baseline
-//     and ALPU NICs;
-//
-//   * the host-throughput suite (`--json`, consumed by
-//     scripts/bench_report.py --suite message_rate): the same scenario
-//     measured in WALL-CLOCK nanoseconds per simulated MPI message.
-//     Every message exercises the NIC's control-path bookkeeping —
-//     cookie->info tables, rendezvous token maps, per-destination
-//     ordering tickets, reliability windows, link state — so this is
-//     the regression gate on those structures staying cache-resident
-//     and allocation-free (sim results are representation-independent;
-//     only the wall clock sees the difference).
-//
-//   bench_message_rate [--iters N] [--burst N] [--json <path>]
-//
-// `--iters` is the per-grid-point message budget of the measured suite
-// (runs = iters / burst fresh machines per point); the table section
-// always runs its fixed grid.
-#include <chrono>
-#include <cstdint>
+// The introduction ranks gap (the inverse message rate) as the
+// second-largest application impact after overhead, and identifies queue
+// traversal on the NIC as what inflates it.  A burst of back-to-back
+// messages streams into a receiver with a standing posted queue; the
+// achieved per-message gap and message rate are reported for the
+// baseline and ALPU NICs.  (Host wall-ns per simulated message is the
+// `host_ns_per_msg` metric of bench/e2e, not this binary's job.)
 #include <cstdio>
 #include <string>
-#include <vector>
 
-#include "common/flags.hpp"
 #include "common/table.hpp"
 #include "workload/scenarios.hpp"
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-using alpu::common::TimePs;
 using alpu::workload::MessageRateParams;
 using alpu::workload::NicMode;
-
-/// One measured grid point of the wall-clock suite.
-struct Point {
-  const char* key;  ///< JSON key (stable: the baseline gates on it)
-  NicMode mode;
-  std::size_t queue_length;
-  std::uint32_t message_bytes;
-};
-
-/// The gate's grid: short and long standing queues for both NIC kinds
-/// (eager traffic), plus a rendezvous-sized point so the RTS/CTS/DATA
-/// token tables are on the measured path too.
-constexpr Point kPoints[] = {
-    {"baseline_q0", NicMode::kBaseline, 0, 0},
-    {"baseline_q200", NicMode::kBaseline, 200, 0},
-    {"alpu256_q0", NicMode::kAlpu256, 0, 0},
-    {"alpu256_q200", NicMode::kAlpu256, 200, 0},
-    {"rendezvous_q0", NicMode::kAlpu256, 0, 32 * 1024},
-};
-
-struct Measured {
-  double wall_ns_per_message = 0.0;
-  double sim_gap_ns = 0.0;  ///< simulated gap (must not move: informational)
-};
-
-Measured measure_point(const Point& pt, int burst, int runs) {
-  MessageRateParams p;
-  p.mode = pt.mode;
-  p.queue_length = pt.queue_length;
-  p.burst = burst;
-  p.message_bytes = pt.message_bytes;
-  Measured m;
-  TimePs gap = 0;
-  const auto t0 = Clock::now();
-  for (int r = 0; r < runs; ++r) {
-    gap = alpu::workload::run_message_rate(p);
-  }
-  const auto t1 = Clock::now();
-  const double wall_ns = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-  m.wall_ns_per_message =
-      wall_ns / (static_cast<double>(runs) * static_cast<double>(burst));
-  m.sim_gap_ns = alpu::common::to_ns(gap);
-  return m;
-}
 
 void print_table() {
   using alpu::common::fmt_double;
@@ -121,55 +51,7 @@ void print_table() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto flags_opt = alpu::common::Flags::parse(argc, argv);
-  if (!flags_opt.has_value()) {
-    std::fprintf(stderr,
-                 "usage: bench_message_rate [--iters N] [--burst N]"
-                 " [--json <path>]\n");
-    return 2;
-  }
-  const alpu::common::Flags& flags = *flags_opt;
-  const int burst = static_cast<int>(flags.get_int("burst", 256));
-  const auto iters = flags.get_int("iters", 16'384);
-  const int runs =
-      static_cast<int>(iters / burst > 0 ? iters / burst : 1);
-
+int main() {
   print_table();
-
-  if (!flags.has("json")) return 0;
-
-  std::printf("\n=== wall-clock control-path suite "
-              "(%d runs x %d messages per point) ===\n", runs, burst);
-  std::vector<Measured> results;
-  for (const Point& pt : kPoints) {
-    results.push_back(measure_point(pt, burst, runs));
-    std::printf("  %-14s %8.0f ns/message wall  (sim gap %.1f ns)\n",
-                pt.key, results.back().wall_ns_per_message,
-                results.back().sim_gap_ns);
-  }
-
-  const std::string path = flags.get("json", "");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"message_rate\",\n");
-  std::fprintf(f, "  \"burst\": %d,\n  \"runs\": %d,\n", burst, runs);
-  std::fprintf(f, "  \"wall_ns_per_message\": {\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    std::fprintf(f, "    \"%s\": %.2f%s\n", kPoints[i].key,
-                 results[i].wall_ns_per_message,
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  },\n  \"sim_gap_ns\": {\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    std::fprintf(f, "    \"%s\": %.3f%s\n", kPoints[i].key,
-                 results[i].sim_gap_ns,
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
   return 0;
 }

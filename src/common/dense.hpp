@@ -21,7 +21,7 @@
 //     with two properties std::unordered_map lacks: iteration follows
 //     INSERTION ORDER (a doubly-linked list threaded through the slot
 //     pool), so no result can ever depend on hash-bucket order
-//     (scripts/determinism_lint.py bans raw unordered containers from
+//     (tools/lint/lint.py bans raw unordered containers from
 //     the NIC/net control path for exactly that reason); and erased
 //     slots go to a free list and are RECYCLED, so the protocol states
 //     they hold (RdvzSendState, PostedInfo, ...) are pooled — at steady

@@ -1,9 +1,9 @@
 """Hot-path rules: allocation and dispatch discipline in the simulator
 kernel and the per-message protocol path.
 
-The message-rate benchmark gates these paths (bench/baselines/): one
-heap allocation per simulated event is the difference between the
-calibrated figures and noise.  The kernel provides pooled alternatives
+The end-to-end benchmark times these paths (`host_ns_per_msg` and
+`sim.event_ns` in bench/e2e): one heap allocation per simulated event is
+the difference between the calibrated figures and noise.  The kernel provides pooled alternatives
 for every flagged pattern — the slot-pool EventCallback (SBO, no heap
 under kInlineBytes), the coroutine FramePool, and the dense containers
 in common/dense.hpp.
@@ -17,7 +17,7 @@ from typing import Iterator
 
 from ..framework import Rule, SelfTestCase, register, strip_comments
 
-# The dirs whose per-event code the message-rate gate exercises.
+# The dirs whose per-event code the end-to-end benchmark exercises.
 HOT_PATH_DIRS = {"sim", "nic", "net", "mem", "match", "alpu"}
 
 
