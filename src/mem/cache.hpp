@@ -8,11 +8,11 @@
 // simulator needs timing, not contents.
 #pragma once
 
-#include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "common/check.hpp"
 
 namespace alpu::mem {
 
@@ -47,164 +47,122 @@ struct CacheAccess {
   bool evicted_dirty = false;  ///< a dirty victim was written back
 };
 
-/// Tag-only set-associative cache with true-LRU replacement.
-///
-/// Storage is struct-of-arrays: the hit path — the innermost loop of
-/// every modelled load and store, run once per queue entry walked — is
-/// an early-exit scan of the set's contiguous 8-byte tag plane checked
-/// against a per-set validity bitmask, instead of chasing padded line
-/// structs at three times the memory stride.
-/// Replacement semantics are bit-identical to the padded-struct layout
-/// (same LRU clocking, same victim choice including tie-breaks), so no
-/// modelled timing moves.
+/// Tag-only set-associative cache with true-LRU replacement, O(1) per
+/// access at any associativity.  Slots 1..ways of a set hold its ways,
+/// filled lowest-first after a flush and never invalidated one at a
+/// time, so slots [1, fill] are the valid ones.  The set's index maps a
+/// line to its slot (0: empty) in bit_ceil(2 * ways) buckets, with linear
+/// probing and backward-shift deletion.  Its doubly linked list runs from
+/// sentinel slot 0 through the filled slots, MRU to LRU, and back (zeroed
+/// links: empty), so its tail is exactly the true-LRU victim.
 class Cache {
  public:
   explicit Cache(const CacheConfig& config);
 
-  /// Look up `addr`; on miss, allocate the line (evicting LRU).
-  /// Header-inline: this is the innermost call of every modelled load
-  /// and store, and inlining it (and its callees) into the memory-system
-  /// front end keeps the geometry constants in registers.
-  CacheAccess access(Addr addr, bool is_write);
+  /// Look up `addr`; on miss, allocate the line (evicting LRU).  Inline:
+  /// this is the innermost call of every modelled load and store.
+  CacheAccess access(Addr addr, bool is_write) {
+    ++stats_.accesses;
+    const Addr line = line_of(addr);
+    const std::size_t set = set_of(line);
+    const std::size_t base = set * (config_.ways + 1);
+    std::uint16_t* prev = &prev_[base];
+    std::uint16_t* next = &next_[base];
+    std::size_t pos = find_bucket(line);
+    std::uint16_t slot = index_[pos];
+    CacheAccess out{.hit = slot != 0, .evicted_dirty = false};
+    ++(out.hit ? stats_.hits : stats_.misses);
+    if (!out.hit) {
+      if (fill_[set] < config_.ways) {
+        slot = ++fill_[set];  // self-linked, so unlinking it is a no-op
+        prev[slot] = next[slot] = slot;
+      } else {
+        slot = prev[0];  // the LRU way
+        ++stats_.evictions;
+        out.evicted_dirty = dirty_[base + slot];
+        if (out.evicted_dirty) ++stats_.writebacks;
+        erase_bucket(set, find_bucket(lines_[set * config_.ways + slot - 1]));
+        pos = find_bucket(line);  // the shift may have moved the chain end
+      }
+      lines_[set * config_.ways + slot - 1] = line;
+      dirty_[base + slot] = false;
+      index_[pos] = slot;
+    }
+    // Move the slot to the MRU end of the list.
+    next[prev[slot]] = next[slot];
+    prev[next[slot]] = prev[slot];
+    prev[slot] = 0;
+    next[slot] = next[0];
+    prev[next[0]] = slot;
+    next[0] = slot;
+    if (is_write) dirty_[base + slot] = true;
+    ALPU_INVARIANT(out.hit || set_consistent(set),
+                   "cache set inconsistent after a fill or eviction");
+    return out;
+  }
 
   /// Probe without side effects (used by tests and warm-up accounting).
-  bool contains(Addr addr) const;
+  bool contains(Addr addr) const {
+    return index_[find_bucket(line_of(addr))] != 0;
+  }
 
   /// Invalidate everything (e.g. context switch modelling).
   void flush();
 
+  /// O(lines) structural check: in every set, the recency list visits
+  /// each filled slot once, and the index holds exactly those.  Each fill
+  /// or eviction checks its set under ALPU_INVARIANT (ALPU_CHECKED only).
+  bool check_invariants() const {
+    for (std::size_t set = 0; set < sets_; ++set) {
+      if (!set_consistent(set)) return false;
+    }
+    return true;
+  }
+
   const CacheConfig& config() const { return config_; }
   const CacheStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = CacheStats{}; }
 
  private:
-  // Every practical geometry (Table III and the benchmark grids) has
-  // power-of-two line size and set count, so the per-access index math
-  // — run four times per modelled load on the hot path — reduces to
-  // shifts and masks; the division fallback keeps arbitrary test
-  // geometries (e.g. 66-way property-test shapes) exact.
-  std::size_t set_index(Addr addr) const {
-    if (pow2_geometry_) {
-      return static_cast<std::size_t>(addr >> line_shift_) & (sets_ - 1);
+  // Table III and the benchmark grids have power-of-two line size and set
+  // count, so the hot path shifts and masks; division keeps other shapes.
+  Addr line_of(Addr addr) const {
+    return pow2_geometry_ ? addr >> line_shift_ : addr / config_.line_bytes;
+  }
+  std::size_t set_of(Addr line) const {
+    return pow2_geometry_ ? line & (sets_ - 1) : line % sets_;
+  }
+  /// Bucket `line` hashes to in its set's index (Fibonacci hashing).
+  std::size_t home_of(Addr line) const {
+    return (line * 0x9e3779b97f4a7c15ULL) >> hash_shift_;
+  }
+  /// index_ position of `line`'s bucket, or of its chain's empty end.
+  std::size_t find_bucket(Addr line) const {
+    const std::size_t set = set_of(line);
+    const std::size_t first = set * buckets_;
+    std::size_t b = home_of(line);
+    while (index_[first + b] != 0 &&
+           lines_[set * config_.ways + index_[first + b] - 1] != line) {
+      b = (b + 1) & (buckets_ - 1);
     }
-    return (addr / config_.line_bytes) % sets_;
+    return first + b;
   }
-  Addr tag_of(Addr addr) const {
-    if (pow2_geometry_) return addr >> (line_shift_ + set_shift_);
-    return addr / config_.line_bytes / sets_;
-  }
-  /// Way holding `tag` valid in `set`, or -1.  Early-exit scan of the
-  /// set's dense tag plane.
-  int find_way(std::size_t set, Addr tag) const;
-  /// Lowest invalid way of `set`, or -1 when the set is full.
-  int first_invalid_way(std::size_t set) const;
-  /// Valid bits of ways [word*64, word*64+64) of `set`.
-  std::uint64_t word_mask(std::size_t word) const {
-    const std::size_t first = word * 64;
-    const std::size_t count = std::min<std::size_t>(64, config_.ways - first);
-    return count == 64 ? ~std::uint64_t{0}
-                       : (std::uint64_t{1} << count) - 1;
-  }
+  /// Empty index_[pos], pulling later members of its chain back.
+  void erase_bucket(std::size_t set, std::size_t pos);
+  bool set_consistent(std::size_t set) const;
 
   CacheConfig config_;
   std::size_t sets_;
-  std::size_t mask_words_ = 1;       ///< 64-bit words per per-set bitmask
-  bool pow2_geometry_ = false;  ///< line_bytes and sets_ both powers of two
-  unsigned line_shift_ = 0;     ///< log2(line_bytes) when pow2_geometry_
-  unsigned set_shift_ = 0;      ///< log2(sets_) when pow2_geometry_
-  std::vector<Addr> tags_;           ///< sets_ * ways, set-major
-  std::vector<std::uint64_t> lru_;   ///< sets_ * ways, set-major
-  std::vector<std::uint64_t> valid_;  ///< sets_ * mask_words_ way bitmasks
-  std::vector<std::uint64_t> dirty_;  ///< sets_ * mask_words_ way bitmasks
-  std::uint64_t lru_clock_ = 0;
+  std::size_t buckets_;               ///< per-set index size, a power of 2
+  unsigned hash_shift_;               ///< 64 - log2(buckets_)
+  bool pow2_geometry_;                ///< line_bytes and sets_ powers of 2
+  unsigned line_shift_;               ///< log2(line_bytes) if pow2_geometry_
+  std::vector<Addr> lines_;           ///< sets_ * ways: slot s at way s-1
+  std::vector<std::uint16_t> prev_;   ///< sets_ * (ways + 1): newer slot
+  std::vector<std::uint16_t> next_;   ///< sets_ * (ways + 1): older slot
+  std::vector<bool> dirty_;           ///< sets_ * (ways + 1)
+  std::vector<std::uint16_t> index_;  ///< sets_ * buckets_ slot numbers
+  std::vector<std::uint16_t> fill_;   ///< filled slots per set
   CacheStats stats_;
 };
-
-// ---- inline implementations (hot path) --------------------------------
-
-inline int Cache::find_way(std::size_t set, Addr tag) const {
-  // Early-exit scan of the set's contiguous tag plane.  At most one
-  // valid way holds a given tag, so the first valid match is the hit.
-  // Invalid slots are filtered through the validity bitmask only after
-  // their (stale) tag happens to compare equal — the common iteration
-  // touches just the 8-byte tag stride.
-  const Addr* tags = &tags_[set * config_.ways];
-  const std::uint64_t* valid = &valid_[set * mask_words_];
-  for (std::size_t w = 0; w < config_.ways; ++w) {
-    if (tags[w] == tag && ((valid[w >> 6] >> (w & 63)) & 1) != 0) {
-      return static_cast<int>(w);
-    }
-  }
-  return -1;
-}
-
-inline int Cache::first_invalid_way(std::size_t set) const {
-  const std::uint64_t* valid = &valid_[set * mask_words_];
-  for (std::size_t word = 0; word < mask_words_; ++word) {
-    const std::uint64_t invalid = ~valid[word] & word_mask(word);
-    if (invalid != 0) {
-      return static_cast<int>(
-          word * 64 + static_cast<std::size_t>(std::countr_zero(invalid)));
-    }
-  }
-  return -1;
-}
-
-inline CacheAccess Cache::access(Addr addr, bool is_write) {
-  ++stats_.accesses;
-  const std::size_t set = set_index(addr);
-  const Addr tag = tag_of(addr);
-  const std::size_t base = set * config_.ways;
-  const std::size_t mask_base = set * mask_words_;
-
-  // Hit path.
-  if (const int hit = find_way(set, tag); hit >= 0) {
-    const auto w = static_cast<std::size_t>(hit);
-    ++stats_.hits;
-    lru_[base + w] = ++lru_clock_;
-    if (is_write) dirty_[mask_base + w / 64] |= std::uint64_t{1} << (w % 64);
-    return CacheAccess{.hit = true, .evicted_dirty = false};
-  }
-
-  // Miss: allocate, preferring the lowest invalid way, else the
-  // true-LRU victim (first way among equal-minimum LRU stamps — the
-  // same tie-break as scanning ways in order).
-  ++stats_.misses;
-  std::size_t victim;
-  bool victim_valid = false;
-  if (const int invalid = first_invalid_way(set); invalid >= 0) {
-    victim = static_cast<std::size_t>(invalid);
-  } else {
-    victim = 0;
-    const std::uint64_t* lru = &lru_[base];
-    for (std::size_t w = 1; w < config_.ways; ++w) {
-      if (lru[w] < lru[victim]) victim = w;
-    }
-    victim_valid = true;
-  }
-  CacheAccess out{.hit = false, .evicted_dirty = false};
-  const std::size_t word = mask_base + victim / 64;
-  const std::uint64_t bit = std::uint64_t{1} << (victim % 64);
-  if (victim_valid) {
-    ++stats_.evictions;
-    if (dirty_[word] & bit) {
-      ++stats_.writebacks;
-      out.evicted_dirty = true;
-    }
-  }
-  valid_[word] |= bit;
-  tags_[base + victim] = tag;
-  lru_[base + victim] = ++lru_clock_;
-  if (is_write) {
-    dirty_[word] |= bit;
-  } else {
-    dirty_[word] &= ~bit;
-  }
-  return out;
-}
-
-inline bool Cache::contains(Addr addr) const {
-  return find_way(set_index(addr), tag_of(addr)) >= 0;
-}
 
 }  // namespace alpu::mem

@@ -1,13 +1,15 @@
 // Property tests for the cache model against an executable reference:
 // a straightforward list-based true-LRU implementation.  The Cache class
 // is the hot path of every experiment (one access per walked queue
-// entry), so its replacement behaviour is cross-checked exhaustively
-// across geometries.
+// entry), so its replacement and writeback behaviour is cross-checked
+// exhaustively across geometries, including shapes whose set count or
+// line size is not a power of two.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
 #include <tuple>
-#include <unordered_map>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "mem/cache.hpp"
@@ -16,32 +18,65 @@
 namespace alpu::mem {
 namespace {
 
-/// Reference: per-set LRU lists, textbook formulation.
+/// Reference: per-set LRU lists of (tag, dirty), textbook formulation.
 class ReferenceCache {
  public:
   explicit ReferenceCache(const CacheConfig& config)
       : config_(config), sets_(config.num_sets()) {}
 
-  bool access(Addr addr) {
-    const std::size_t set =
-        (addr / config_.line_bytes) % config_.num_sets();
-    const Addr tag = addr / config_.line_bytes / config_.num_sets();
-    auto& lru = sets_[set];
+  CacheAccess access(Addr addr, bool is_write) {
+    auto& lru = sets_[set_of(addr)];
+    const Addr tag = tag_of(addr);
     for (auto it = lru.begin(); it != lru.end(); ++it) {
-      if (*it == tag) {
+      if (it->tag == tag) {
+        const Line line{.tag = tag, .dirty = it->dirty || is_write};
         lru.erase(it);
-        lru.push_front(tag);  // most recently used
-        return true;
+        lru.push_front(line);  // most recently used
+        return CacheAccess{.hit = true, .evicted_dirty = false};
       }
     }
-    lru.push_front(tag);
-    if (lru.size() > config_.ways) lru.pop_back();  // evict LRU
-    return false;
+    lru.push_front(Line{.tag = tag, .dirty = is_write});
+    CacheAccess out{.hit = false, .evicted_dirty = false};
+    if (lru.size() > config_.ways) {  // evict LRU
+      ++evictions_;
+      out.evicted_dirty = lru.back().dirty;
+      if (out.evicted_dirty) ++writebacks_;
+      lru.pop_back();
+    }
+    return out;
   }
 
+  bool contains(Addr addr) const {
+    const auto& lru = sets_[set_of(addr)];
+    const Addr tag = tag_of(addr);
+    return std::any_of(lru.begin(), lru.end(),
+                       [tag](const Line& l) { return l.tag == tag; });
+  }
+
+  void flush() {
+    for (auto& lru : sets_) lru.clear();
+  }
+
+  std::uint64_t evictions() const { return evictions_; }
+  std::uint64_t writebacks() const { return writebacks_; }
+
  private:
+  struct Line {
+    Addr tag;
+    bool dirty;
+  };
+
+  std::size_t set_of(Addr addr) const {
+    return (addr / config_.line_bytes) % config_.num_sets();
+  }
+  Addr tag_of(Addr addr) const {
+    return addr / config_.line_bytes / config_.num_sets();
+  }
+
   CacheConfig config_;
-  std::vector<std::list<Addr>> sets_;
+  std::vector<std::list<Line>> sets_;
+  std::uint64_t evictions_ = 0;
+  std::uint64_t writebacks_ = 0;
 };
 
 class CacheGeometry
@@ -61,24 +96,41 @@ TEST_P(CacheGeometry, HitMissStreamMatchesReferenceLru) {
   // Mixed access pattern: streaming runs (queue walks), hot-set reuse
   // (firmware structures), and random scatter.
   Addr stream = 0;
-  for (int i = 0; i < 20'000; ++i) {
-    Addr addr;
+  const auto next_addr = [&] {
     const double roll = rng.uniform01();
     if (roll < 0.4) {
-      addr = stream;
+      const Addr addr = stream;
       stream += line;
       if (stream > 4 * config.size_bytes) stream = 0;
-    } else if (roll < 0.7) {
-      addr = rng.below(16) * line;  // hot lines
-    } else {
-      addr = rng.below(1 << 22);
+      return addr;
     }
-    const bool got = cache.access(addr, rng.chance(0.3)).hit;
-    const bool want = reference.access(addr);
-    ASSERT_EQ(got, want) << "access " << i << " addr " << addr;
+    if (roll < 0.7) return rng.below(16) * line;  // hot lines
+    return rng.below(1 << 22);
+  };
+  for (int i = 0; i < 20'000; ++i) {
+    if (i == 10'000) {  // mid-stream flush: both sides start cold again
+      cache.flush();
+      reference.flush();
+    }
+    const Addr addr = next_addr();
+    const bool is_write = rng.chance(0.3);
+    const CacheAccess got = cache.access(addr, is_write);
+    const CacheAccess want = reference.access(addr, is_write);
+    ASSERT_EQ(got.hit, want.hit) << "access " << i << " addr " << addr;
+    ASSERT_EQ(got.evicted_dirty, want.evicted_dirty)
+        << "access " << i << " addr " << addr;
+    if (i % 64 == 0) {
+      const Addr probe = next_addr();
+      ASSERT_EQ(cache.contains(probe), reference.contains(probe))
+          << "probe after access " << i << " addr " << probe;
+      ASSERT_TRUE(cache.check_invariants()) << "after access " << i;
+    }
   }
   EXPECT_EQ(cache.stats().hits + cache.stats().misses,
             cache.stats().accesses);
+  EXPECT_EQ(cache.stats().evictions, reference.evictions());
+  EXPECT_EQ(cache.stats().writebacks, reference.writebacks());
+  EXPECT_TRUE(cache.check_invariants());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -90,7 +142,10 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(32, 64, 64, 44),  // the NIC L1 shape
         std::make_tuple(64, 2, 64, 55),   // the host L1 shape
         std::make_tuple(8, 128, 64, 66),  // fully associative
-        std::make_tuple(2, 2, 128, 77)));  // wide lines
+        std::make_tuple(2, 2, 128, 77),   // wide lines
+        std::make_tuple(3, 4, 64, 88),    // 12 sets
+        std::make_tuple(3, 2, 96, 99),    // 96 B lines
+        std::make_tuple(6, 3, 64, 111)));  // 3 ways
 
 TEST(CacheProperties, DirtyBitSurvivesLruReordering) {
   // Write a line, keep it warm with reads while filling the set, then
