@@ -29,8 +29,8 @@
 // (pairwise muxes within blocks, then across blocks), using fixed
 // per-instance scratch buffers (no per-probe allocation).  Tests assert
 // the two agree on all inputs — the hardware-fidelity check — and
-// `reference.hpp` retains the original cell-at-a-time implementation as
-// the differential-testing oracle.
+// `check::ListSpec` (src/check/spec.hpp) is the oracle both are
+// differentially tested against.
 #pragma once
 
 #include <atomic>
@@ -62,8 +62,8 @@ extern bool inject_compaction_off_by_one;
 /// With no parity installed (zero SEU rate) the flip is silent at the
 /// hardware level, so only the end-to-end checks can catch it: the
 /// bounded checker must produce a counterexample and a chaos soak must
-/// fail its exactly-once/in-order verdict.  CI runs both as must-fail
-/// steps.
+/// fail its exactly-once/in-order verdict.  `SilentFlip.*` and the
+/// `chaos_silent_flip_fails` ctest require both to fail.
 extern std::atomic<bool> inject_silent_flip;
 }  // namespace testing
 

@@ -9,7 +9,6 @@
 #include "alpu/alpu.hpp"
 #include "alpu/array.hpp"
 #include "alpu/pipelined.hpp"
-#include "alpu/reference.hpp"
 #include "common/check.hpp"
 #include "sim/engine.hpp"
 
@@ -81,8 +80,7 @@ bool is_protocol(ImplKind impl) {
 }
 
 /// Implementations carrying the transient-fault model (parity planes +
-/// corrupt_for_test).  The reference oracle and the stage-level RTL
-/// model deliberately have none.
+/// corrupt_for_test).  The stage-level RTL model deliberately has none.
 bool supports_faults(ImplKind impl) {
   return impl == ImplKind::kArray || impl == ImplKind::kTransaction;
 }
@@ -140,26 +138,23 @@ constexpr Op kCorruptDataBit{OpKind::kCorrupt, /*bits=*/0, /*mask=*/0,
 constexpr Op kCorruptValidBit{OpKind::kCorrupt, /*bits=*/3, /*mask=*/1,
                               /*cookie=*/0, 0};
 
-// ---- datapath tier: AlpuArray / ReferenceAlpuArray vs ListSpec ------------
+// ---- datapath tier: AlpuArray vs ListSpec ---------------------------------
 
 /// Replay `seq` against a fresh implementation and the spec, comparing
 /// every observable after every step.  Cookies and probe sequence
 /// numbers are assigned in place from the op's position, so a failing
 /// trace prints with the identities it actually ran with.  Returns the
 /// divergence description and sets `*fail_at` to the failing step.
-template <typename Impl>
 std::optional<std::string> replay_datapath(AlpuFlavor flavor,
                                            const CheckOptions& opt,
                                            std::vector<Op>& seq,
                                            std::size_t* fail_at) {
   ListSpec spec(flavor, opt.cells, match::kFullMask);
-  Impl impl(flavor, opt.cells, opt.block);
-  if constexpr (std::is_same_v<Impl, hw::AlpuArray>) {
-    if (opt.faults) {
-      hw::SeuConfig seu;
-      seu.force_parity = true;  // detection only; the checker injects
-      impl.install_fault_model(seu, /*stream=*/0);
-    }
+  hw::AlpuArray impl(flavor, opt.cells, opt.block);
+  if (opt.faults) {
+    hw::SeuConfig seu;
+    seu.force_parity = true;  // detection only; the checker injects
+    impl.install_fault_model(seu, /*stream=*/0);
   }
   Cookie next_cookie = 1;
   std::uint64_t next_seq = 1;
@@ -238,15 +233,9 @@ std::optional<std::string> replay_datapath(AlpuFlavor flavor,
         corrupted = false;  // reset reheals parity and lifts quarantine
         break;
       case OpKind::kCorrupt:
-        if constexpr (std::is_same_v<Impl, hw::AlpuArray>) {
-          impl.corrupt_for_test(static_cast<unsigned>(op.bits),
-                                static_cast<std::size_t>(op.mask),
-                                op.cookie);
-          corrupted = true;
-        } else {
-          ALPU_CHECK_FAIL("corrupt op on an implementation without a "
-                          "fault model");
-        }
+        impl.corrupt_for_test(static_cast<unsigned>(op.bits),
+                              static_cast<std::size_t>(op.mask), op.cookie);
+        corrupted = true;
         break;
       case OpKind::kSweep: {
         const hw::Probe selector{op.bits, op.mask, 0};
@@ -588,10 +577,7 @@ class Checker {
                                          std::size_t* fail_at) const {
     switch (impl_) {
       case ImplKind::kArray:
-        return replay_datapath<hw::AlpuArray>(flavor_, opt_, seq, fail_at);
-      case ImplKind::kReference:
-        return replay_datapath<hw::ReferenceAlpuArray>(flavor_, opt_, seq,
-                                                       fail_at);
+        return replay_datapath(flavor_, opt_, seq, fail_at);
       case ImplKind::kTransaction:
         return replay_protocol<hw::Alpu>(flavor_, opt_, seq, fail_at);
       case ImplKind::kPipelined:
@@ -660,8 +646,6 @@ const char* to_string(ImplKind impl) {
   switch (impl) {
     case ImplKind::kArray:
       return "array";
-    case ImplKind::kReference:
-      return "reference";
     case ImplKind::kTransaction:
       return "alpu";
     case ImplKind::kPipelined:

@@ -19,10 +19,12 @@
 //                   retries after each insert and resolves at STOP
 //                   INSERT), at run-to-quiescence granularity.
 //
-// The bounded checker (checker.hpp) drives hw::AlpuArray,
-// hw::ReferenceAlpuArray, hw::Alpu and hw::PipelinedAlpu through all
-// short operation sequences and cross-checks every observable against
-// these specs after every step.
+// The bounded checker (checker.hpp) drives hw::AlpuArray, hw::Alpu and
+// hw::PipelinedAlpu through all short operation sequences and
+// cross-checks every observable against these specs after every step;
+// the differential fuzz (tests/test_alpu_fuzz.cpp) drives AlpuArray
+// against ListSpec through long random ones.  ListSpec is the only
+// datapath oracle.
 #pragma once
 
 #include <cstddef>

@@ -119,7 +119,7 @@ void Network::schedule_delivery(const Packet& packet, TimePs when,
   key.sent_at = sent_at;
   key.src_node = packet.src;
   key.src_seq = src.departure_seq++;
-  // Seeded causality bug (audit must-fail CI step): deliver one true
+  // Seeded causality bug (the auditor's must-fail test): deliver one true
   // cross-shard packet at its send time — zero wire latency — violating
   // the conservative lookahead contract the window protocol depends on.
   // The auditor catches it at the merge barrier before the destination

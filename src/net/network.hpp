@@ -21,7 +21,7 @@
 #include "sim/parallel.hpp"
 
 namespace alpu::hw::testing {
-/// Fault-seeding hook for the determinism auditor's must-fail CI step:
+/// Fault-seeding hook for the determinism auditor's must-fail test:
 /// when set, the next cross-shard delivery is posted one lookahead too
 /// early — exactly the causality bug the conservative window protocol
 /// exists to prevent.  The auditor must catch it at the merge barrier

@@ -1,0 +1,85 @@
+# Row-driven checks of alpusim's stdout and exit code.  Each ctest runs
+# the rows of one group, named after the test (tests/CMakeLists.txt):
+#
+#   cmake -DALPUSIM=<alpusim> -DGROUP=<test> -DOUT_DIR=<dir> -P golden.cmake
+#
+# run(<file> <code> <args>...) runs `alpusim <args>` once and requires
+# exit code <code> and, unless <file> is "", a stdout equal to <file>
+# byte for byte.  golden(<file> <args>...) runs it at --jobs 1, --jobs 8,
+# --shards 2 and --shards 8, each of which must exit 0 and print <file>:
+# simulated output must not depend on either flag, so one golden pins
+# all four.  A golden that does not match prints the command that
+# rewrites it; name any deliberate golden change in CHANGES.md.
+
+set(goldens ${CMAKE_CURRENT_LIST_DIR}/golden)
+set(figures ${CMAKE_CURRENT_LIST_DIR}/../bench/e2e/golden)
+file(MAKE_DIRECTORY ${OUT_DIR})
+
+# Errors are reported and the remaining rows still run.
+function(run file code)
+  string(REPLACE ";" " " cmd "${ARGN}")
+  string(MAKE_C_IDENTIFIER "${cmd}" id)
+  set(out ${OUT_DIR}/${id}.out)
+  execute_process(COMMAND ${ALPUSIM} ${ARGN} OUTPUT_FILE ${out}
+                  ERROR_VARIABLE err RESULT_VARIABLE rc)
+  if(NOT rc STREQUAL code)
+    message(SEND_ERROR "alpusim ${cmd}: exit ${rc}, expected ${code}\n${err}")
+  elseif(file)
+    execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${out} ${file}
+                    RESULT_VARIABLE differs)
+    if(differs)
+      message(SEND_ERROR "alpusim ${cmd}: stdout (${out}) differs from "
+              "${file}.  If the change is deliberate, rewrite the golden "
+              "with\n  ${ALPUSIM} ${cmd} > ${file}")
+    endif()
+  endif()
+endfunction()
+
+function(golden file)
+  foreach(setting "--jobs;1" "--jobs;8" "--jobs;1;--shards;2"
+                  "--jobs;1;--shards;8")
+    run(${file} 0 ${ARGN} ${setting})
+  endforeach()
+endfunction()
+
+if(GROUP STREQUAL "golden_figures")
+  golden(${figures}/fig5.csv sweep --figure 5)
+  golden(${figures}/fig6.csv sweep --figure 6)
+elseif(GROUP STREQUAL "golden_chaos")
+  # The default drop-rate grid, which a zero SEU rate must leave
+  # untouched; one heavy-loss point; and eight ranks under that loss.
+  golden(${goldens}/chaos_seeds3.csv chaos --seeds 3)
+  golden(${goldens}/chaos_seeds3.csv chaos --seeds 3 --seu-rate 0)
+  golden(${goldens}/chaos_drop5.csv chaos --drop 0.05 --seeds 2)
+  golden(${goldens}/chaos_ranks8.csv
+         chaos --ranks 8 --per-pair 4 --seeds 2 --drop 0.05)
+elseif(GROUP STREQUAL "golden_seu")
+  # ALPU bit flips compounded with 5% packet drop.
+  foreach(rate 1e-3 5e-3)
+    golden(${goldens}/seu_${rate}.csv chaos --seeds 2 --drop 0.05
+           --seu-rate ${rate} --scrub-interval-us 50)
+  endforeach()
+elseif(GROUP STREQUAL "golden_overload")
+  # Incast against tiny eager budgets (pool bytes, slots) at 5% drop.
+  foreach(budget "4096;2" "4096;8" "8192;4" "16384;2" "16384;8")
+    list(GET budget 0 pool)
+    list(GET budget 1 slots)
+    golden(${goldens}/overload_${pool}_${slots}.csv chaos --overload
+           --seeds 2 --drop 0.05 --pool-bytes ${pool} --slots ${slots})
+  endforeach()
+elseif(GROUP STREQUAL "golden_check")
+  # The exhaustive depth-6 model check, sequence and op counts included.
+  run(${goldens}/check.txt 0 check --depth 6 --cells 4)
+elseif(GROUP STREQUAL "check_rejects_bad_flags")
+  # Flags the checker cannot run with print the usage text.
+  foreach(flags "--depth;0" "--depth;-1" "--cells;0" "--cells;5"
+                "--block;3" "--impl;reference" "--flow;--depth;0")
+    run("" 2 check ${flags})
+  endforeach()
+elseif(GROUP STREQUAL "audit_triage_clean")
+  # Divergence triage finds no divergent window on clean runs.
+  run("" 0 audit --shards 1,2)
+  run("" 0 audit --shards 2,8 --drop 0.05)
+else()
+  message(FATAL_ERROR "golden.cmake: unknown GROUP '${GROUP}'")
+endif()

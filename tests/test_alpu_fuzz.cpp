@@ -1,5 +1,5 @@
 // Protocol fuzzing for the cycle-level ALPU, plus differential fuzzing
-// of the SoA match engine against the retained reference implementation.
+// of the SoA match engine against the executable list spec.
 //
 // Protocol suite: random command/probe streams — including protocol
 // violations the firmware is told never to commit — must never deadlock
@@ -11,11 +11,12 @@
 //   (4) the unit goes idle (stops consuming events) when starved.
 //
 // Differential suite: AlpuArray (word-parallel SoA engine) and
-// ReferenceAlpuArray (original cell-at-a-time implementation) are driven
-// with identical random insert / match / match_and_delete /
-// invalidate_matching / reset sequences — wildcard masks included — and
-// must agree on every result and on full cell-level state after every
-// step, through full-array and empty-array edges.
+// check::ListSpec (the ordered-list spec the model checker also uses)
+// are driven with identical random insert / match / match_and_delete /
+// invalidate_matching / reset sequences — wildcard masks included.  They
+// must agree on every answer, cells [0, size) must hold the spec's
+// entries in order and every cell past them must be invalid, after
+// every step, through full-array and empty-array edges.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -23,7 +24,7 @@
 
 #include "alpu/alpu.hpp"
 #include "alpu/array.hpp"
-#include "alpu/reference.hpp"
+#include "check/spec.hpp"
 #include "common/rng.hpp"
 #include "sim/engine.hpp"
 
@@ -166,7 +167,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(16, 16, 6)));
 
 // ---------------------------------------------------------------------------
-// Differential fuzz: SoA engine vs retained reference implementation
+// Differential fuzz: SoA engine vs ListSpec
 // ---------------------------------------------------------------------------
 
 class AlpuDifferentialFuzz
@@ -184,19 +185,27 @@ void expect_same_match(const ArrayMatch& a, const ArrayMatch& b,
   }
 }
 
-void expect_same_state(const AlpuArray& dut, const ReferenceAlpuArray& ref) {
-  ASSERT_EQ(dut.occupancy(), ref.occupancy());
-  ASSERT_EQ(dut.full(), ref.full());
-  ASSERT_EQ(dut.empty(), ref.empty());
-  ASSERT_EQ(dut.free_slots(), ref.free_slots());
+void expect_spec_match(const ArrayMatch& a, const check::SpecMatch& want,
+                       const char* what) {
+  expect_same_match(a, ArrayMatch{want.hit, want.index, want.cookie}, what);
+}
+
+void expect_spec_state(const AlpuArray& dut, const check::ListSpec& spec) {
+  ASSERT_EQ(dut.occupancy(), spec.size());
+  ASSERT_EQ(dut.full(), spec.full());
+  ASSERT_EQ(dut.empty(), spec.size() == 0);
+  ASSERT_EQ(dut.free_slots(), spec.capacity() - spec.size());
   for (std::size_t i = 0; i < dut.capacity(); ++i) {
     const Cell d = dut.cell(i);
-    const Cell& r = ref.cell(i);
-    ASSERT_EQ(d.valid, r.valid) << "cell " << i;
-    if (!d.valid) continue;
-    ASSERT_EQ(d.bits, r.bits) << "cell " << i;
-    ASSERT_EQ(d.mask, r.mask) << "cell " << i;
-    ASSERT_EQ(d.cookie, r.cookie) << "cell " << i;
+    if (i >= spec.size()) {
+      ASSERT_FALSE(d.valid) << "tail cell " << i;
+      continue;
+    }
+    const check::SpecEntry& e = spec.entries()[i];
+    ASSERT_TRUE(d.valid) << "cell " << i;
+    ASSERT_EQ(d.bits, e.bits) << "cell " << i;
+    ASSERT_EQ(d.mask, e.mask) << "cell " << i;
+    ASSERT_EQ(d.cookie, e.cookie) << "cell " << i;
   }
 }
 
@@ -207,7 +216,7 @@ TEST_P(AlpuDifferentialFuzz, SoAEngineAgreesWithReference) {
   common::Xoshiro256 rng(seed);
 
   AlpuArray dut(flavor, cells, block);
-  ReferenceAlpuArray ref(flavor, cells, block);
+  check::ListSpec spec(flavor, cells, match::kFullMask);
 
   // A small envelope universe so matches, misses, and duplicate
   // patterns all occur with useful frequency.
@@ -236,30 +245,29 @@ TEST_P(AlpuDifferentialFuzz, SoAEngineAgreesWithReference) {
       const MatchWord bits = random_word();
       const MatchWord mask = random_mask();
       const Cookie ck = next_cookie++;
-      ASSERT_EQ(dut.insert(bits, mask, ck), ref.insert(bits, mask, ck));
+      ASSERT_EQ(dut.insert(bits, mask, ck), spec.insert(bits, mask, ck));
     } else if (roll < 0.60) {
-      // Pure probe: linear answer, tree answer, and reference agree.
+      // Pure probe: linear answer, tree answer, and spec agree.
       const Probe p{random_word(), random_mask(), 0};
       const ArrayMatch d = dut.match(p);
-      diff::expect_same_match(d, ref.match(p), "match vs reference");
+      diff::expect_spec_match(d, spec.match(p.bits, p.mask), "match vs spec");
       diff::expect_same_match(d, dut.match_tree(p), "match vs match_tree");
-      diff::expect_same_match(d, ref.match_tree(p),
-                              "match vs reference match_tree");
     } else if (roll < 0.85) {
       // The architectural match pipeline: probe + delete + compaction.
       const Probe p{random_word(), random_mask(), 0};
-      diff::expect_same_match(dut.match_and_delete(p),
-                              ref.match_and_delete(p), "match_and_delete");
+      diff::expect_spec_match(dut.match_and_delete(p),
+                              spec.match_and_delete(p.bits, p.mask),
+                              "match_and_delete");
     } else if (roll < 0.97) {
       // RESET PROCESS sweep (multi-delete compaction), occasionally with
       // a match-all selector that empties the array in one sweep.
       const Probe sel{random_word(), random_mask(), 0};
-      ASSERT_EQ(dut.invalidate_matching(sel), ref.invalidate_matching(sel));
+      ASSERT_EQ(dut.invalidate_matching(sel), spec.sweep(sel.bits, sel.mask));
     } else {
       dut.reset();
-      ref.reset();
+      spec.reset();
     }
-    diff::expect_same_state(dut, ref);
+    diff::expect_spec_state(dut, spec);
   }
 
   // Deterministic edge sweep: fill to capacity, then drain to empty.
@@ -267,28 +275,27 @@ TEST_P(AlpuDifferentialFuzz, SoAEngineAgreesWithReference) {
   // probe hits under both flavours (posted matching consults the CELL's
   // stored mask, not the probe's).
   dut.reset();
-  ref.reset();
+  spec.reset();
   while (!dut.full()) {
     const MatchWord bits = random_word();
     const Cookie ck = next_cookie++;
     ASSERT_TRUE(dut.insert(bits, match::kFullMask, ck));
-    ASSERT_TRUE(ref.insert(bits, match::kFullMask, ck));
+    ASSERT_TRUE(spec.insert(bits, match::kFullMask, ck));
   }
   ASSERT_FALSE(dut.insert(0, 0, next_cookie));
-  ASSERT_FALSE(ref.insert(0, 0, next_cookie));
-  diff::expect_same_state(dut, ref);
+  ASSERT_FALSE(spec.insert(0, 0, next_cookie));
+  diff::expect_spec_state(dut, spec);
 
   const Probe all{0, match::kFullMask, 0};
   for (std::size_t i = 0; i < cells; ++i) {
-    diff::expect_same_match(dut.match_and_delete(all),
-                            ref.match_and_delete(all), "drain");
-    diff::expect_same_state(dut, ref);
+    diff::expect_spec_match(dut.match_and_delete(all),
+                            spec.match_and_delete(all.bits, all.mask),
+                            "drain");
+    diff::expect_spec_state(dut, spec);
   }
   ASSERT_TRUE(dut.empty());
-  diff::expect_same_match(dut.match(all), ref.match(all), "empty match");
-  diff::expect_same_match(dut.match_tree(all), ref.match_tree(all),
-                          "empty match_tree");
   ASSERT_FALSE(dut.match(all).hit);
+  ASSERT_FALSE(dut.match_tree(all).hit);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -310,10 +317,10 @@ class SeuDifferentialFuzz
     : public ::testing::TestWithParam<std::tuple<AlpuFlavor, std::uint64_t>> {
 };
 
-// The reference array plays the NIC's software shadow list: after each
-// detected corruption the DUT is RESET and re-shadowed from it, exactly
-// the firmware's scrub-and-rebuild recovery, and lockstep must resume
-// as if the flip never happened.
+// The spec list plays the NIC's software shadow list: after each
+// detected corruption the DUT is RESET and re-shadowed from its
+// entries, exactly the firmware's scrub-and-rebuild recovery, and
+// lockstep must resume as if the flip never happened.
 TEST_P(SeuDifferentialFuzz, CorruptDetectRebuildStaysInLockstep) {
   const auto [flavor, seed] = GetParam();
   constexpr std::size_t kCells = 64;
@@ -321,7 +328,7 @@ TEST_P(SeuDifferentialFuzz, CorruptDetectRebuildStaysInLockstep) {
   common::Xoshiro256 rng(seed);
 
   AlpuArray dut(flavor, kCells, kBlock);
-  ReferenceAlpuArray ref(flavor, kCells, kBlock);
+  check::ListSpec spec(flavor, kCells, match::kFullMask);
   SeuConfig seu;
   seu.force_parity = true;  // deterministic flips below, no injector
   dut.install_fault_model(seu, seed);
@@ -369,11 +376,10 @@ TEST_P(SeuDifferentialFuzz, CorruptDetectRebuildStaysInLockstep) {
       dut.reset();
       ASSERT_FALSE(dut.quarantined());
       EXPECT_TRUE(dut.parity_ok());
-      for (std::size_t i = 0; i < ref.occupancy(); ++i) {
-        const Cell& c = ref.cell(i);
-        ASSERT_TRUE(dut.insert(c.bits, c.mask, c.cookie));
+      for (const check::SpecEntry& e : spec.entries()) {
+        ASSERT_TRUE(dut.insert(e.bits, e.mask, e.cookie));
       }
-      diff::expect_same_state(dut, ref);
+      diff::expect_spec_state(dut, spec);
       ++episodes;
       continue;
     }
@@ -382,21 +388,22 @@ TEST_P(SeuDifferentialFuzz, CorruptDetectRebuildStaysInLockstep) {
       const MatchWord bits = random_word();
       const MatchWord mask = random_mask();
       const Cookie ck = next_cookie++;
-      ASSERT_EQ(dut.insert(bits, mask, ck), ref.insert(bits, mask, ck));
+      ASSERT_EQ(dut.insert(bits, mask, ck), spec.insert(bits, mask, ck));
     } else if (roll < 0.60) {
       const Probe p{random_word(), random_mask(), 0};
       const ArrayMatch d = dut.match(p);
-      diff::expect_same_match(d, ref.match(p), "match vs reference");
+      diff::expect_spec_match(d, spec.match(p.bits, p.mask), "match vs spec");
       diff::expect_same_match(d, dut.match_tree(p), "match vs match_tree");
     } else if (roll < 0.90) {
       const Probe p{random_word(), random_mask(), 0};
-      diff::expect_same_match(dut.match_and_delete(p),
-                              ref.match_and_delete(p), "match_and_delete");
+      diff::expect_spec_match(dut.match_and_delete(p),
+                              spec.match_and_delete(p.bits, p.mask),
+                              "match_and_delete");
     } else {
       const Probe sel{random_word(), random_mask(), 0};
-      ASSERT_EQ(dut.invalidate_matching(sel), ref.invalidate_matching(sel));
+      ASSERT_EQ(dut.invalidate_matching(sel), spec.sweep(sel.bits, sel.mask));
     }
-    diff::expect_same_state(dut, ref);
+    diff::expect_spec_state(dut, spec);
   }
 
   EXPECT_GT(episodes, 5u);  // the schedule actually exercised recovery

@@ -318,7 +318,8 @@ TEST(AuditTriage, CaptureCollectsExactlyTheRequestedWindow) {
 }
 
 // ----------------------------------------------------------------------
-// Seeded fault: the must-fail CI step's bug, caught in-process
+// Seeded fault: the lookahead bug that
+// `alpusim chaos --inject-lookahead-violation` plants, caught in-process
 
 TEST(AuditDeathTest, InjectedLookaheadViolationAbortsWithProvenance) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";

@@ -16,6 +16,7 @@
 // figure surface on a thread pool (--jobs N, default
 // hardware_concurrency); its CSV is byte-identical at every job count.
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -56,8 +57,7 @@ int usage() {
                " shards per simulation;\n"
                "                               results byte-identical at"
                " any count)\n"
-               "               [--depth N] [--impl array|reference|alpu"
-               "|pipelined|all]\n"
+               "               [--depth N] [--impl array|alpu|pipelined|all]\n"
                "               [--inject-compaction-bug] [--flow]"
                "   (check mode; --flow model-checks\n"
                "                               the eager flow-control"
@@ -179,24 +179,34 @@ int run_flow_check(const common::Flags& flags) {
 
 /// `alpusim check`: bounded model check of the ALPU implementations
 /// against the executable protocol spec (src/check/).  Exits non-zero
-/// on the first divergence, printing the minimal counterexample.
+/// on the first divergence, printing the minimal counterexample, and
+/// with 2 on flags the checker cannot run with.
 int run_check(const common::Flags& flags) {
+  if (flags.get_int("depth", 1) < 1) {
+    std::fprintf(stderr, "check: --depth must be at least 1\n");
+    return usage();
+  }
   if (flags.get_bool("flow")) {
     return run_flow_check(flags);
   }
+  const std::int64_t cells = flags.get_int("cells", 4);
+  const std::int64_t block = flags.get_int("block", 2);
+  if (cells < 1 || !std::has_single_bit(static_cast<std::uint64_t>(block)) ||
+      cells % block != 0) {
+    std::fprintf(stderr, "check: --cells must be at least 1 and --block a "
+                         "power of two dividing it\n");
+    return usage();
+  }
   check::CheckOptions opt;
   opt.depth = static_cast<std::size_t>(flags.get_int("depth", 6));
-  opt.cells = static_cast<std::size_t>(flags.get_int("cells", 4));
-  opt.block = static_cast<std::size_t>(flags.get_int("block", 2));
+  opt.cells = static_cast<std::size_t>(cells);
+  opt.block = static_cast<std::size_t>(block);
   opt.faults = flags.get_bool("faults");
 
   std::vector<check::ImplKind> impls;
   const std::string impl = flags.get("impl", "all");
   if (impl == "array" || impl == "all") {
     impls.push_back(check::ImplKind::kArray);
-  }
-  if (impl == "reference" || impl == "all") {
-    impls.push_back(check::ImplKind::kReference);
   }
   if (impl == "alpu" || impl == "all") {
     impls.push_back(check::ImplKind::kTransaction);
@@ -206,7 +216,7 @@ int run_check(const common::Flags& flags) {
   }
   if (impls.empty()) {
     std::fprintf(stderr, "unknown --impl\n");
-    return 2;
+    return usage();
   }
 
   std::vector<hw::AlpuFlavor> flavors;
@@ -219,7 +229,7 @@ int run_check(const common::Flags& flags) {
   }
   if (flavors.empty()) {
     std::fprintf(stderr, "unknown --flavor\n");
-    return 2;
+    return usage();
   }
 
   // Demonstration/self-test hook: plant the classic compaction
@@ -472,17 +482,17 @@ int run_chaos(const common::Flags& flags) {
     }
   }
 
-  // Must-fail hook for the audit CI job: back-date one cross-shard
-  // delivery past the conservative lookahead bound.  The determinism
-  // auditor (ALPU_AUDIT builds) must abort with a provenance chain.
+  // Must-fail hook: back-date one cross-shard delivery past the
+  // conservative lookahead bound.  The determinism auditor (ALPU_AUDIT
+  // builds) must abort with a provenance chain.
   if (flags.get_bool("inject-lookahead-violation")) {
     hw::testing::inject_lookahead_violation.store(true,
                                                   std::memory_order_relaxed);
   }
-  // Must-fail hook for the SEU CI job: one flip behind the parity
-  // layer's back.  Run with --jobs 1 --shards 1 and no --seu flags; the
-  // corrupted entry mismatches a receive, so the soak must FAIL — a
-  // PASS means silent corruption got through undetected.
+  // Must-fail hook (ctest chaos_silent_flip_fails): one flip behind the
+  // parity layer's back.  Run with --jobs 1 --shards 1 and no --seu
+  // flags; the corrupted entry mismatches a receive, so the soak must
+  // FAIL — a PASS means silent corruption got through undetected.
   if (flags.get_bool("inject-silent-flip")) {
     hw::testing::inject_silent_flip.store(true, std::memory_order_relaxed);
   }
