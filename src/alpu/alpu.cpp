@@ -56,10 +56,6 @@ std::optional<Response> Alpu::pop_result() {
   return r;
 }
 
-const Response* Alpu::peek_result() const {
-  return result_fifo_.empty() ? nullptr : &result_fifo_.front();
-}
-
 void Alpu::emit(const Response& r) {
   Response stamped = r;
   stamped.issued_at = engine().now();

@@ -110,8 +110,12 @@ class Alpu : public sim::Component, public AlpuDevice {
   /// Take the oldest response, if any.
   std::optional<Response> pop_result() override;
 
-  const Response* peek_result() const;
   bool result_available() const override { return !result_fifo_.empty(); }
+  void set_alloc_sink(common::AllocSink sink) override {
+    header_fifo_.set_alloc_sink(sink);
+    command_fifo_.set_alloc_sink(sink);
+    result_fifo_.set_alloc_sink(sink);
+  }
   std::size_t header_fifo_free() const { return header_fifo_.free_slots(); }
   std::size_t command_fifo_free() const { return command_fifo_.free_slots(); }
 

@@ -17,6 +17,7 @@
 
 #include "alpu/seu.hpp"
 #include "alpu/types.hpp"
+#include "common/dense.hpp"
 
 namespace alpu::hw {
 
@@ -31,6 +32,9 @@ class AlpuDevice {
   /// Take the oldest response, if any.
   virtual std::optional<Response> pop_result() = 0;
   virtual bool result_available() const = 0;
+  /// Count the header, command and result FIFOs' storage growths into
+  /// `sink` (the NIC wires its control-path allocation counters).
+  virtual void set_alloc_sink(common::AllocSink sink) = 0;
 
   /// Total cells in the match array.
   virtual std::size_t capacity() const = 0;

@@ -69,6 +69,11 @@ class PipelinedAlpu : public sim::Component, public AlpuDevice {
   [[nodiscard]] bool push_command(const Command& cmd) override;
   std::optional<Response> pop_result() override;
   bool result_available() const override { return !result_fifo_.empty(); }
+  void set_alloc_sink(common::AllocSink sink) override {
+    header_fifo_.set_alloc_sink(sink);
+    command_fifo_.set_alloc_sink(sink);
+    result_fifo_.set_alloc_sink(sink);
+  }
   std::size_t capacity() const override { return rtl_.capacity(); }
   std::size_t occupancy() const override { return rtl_.occupancy(); }
 

@@ -121,6 +121,8 @@ Nic::Nic(sim::Engine& engine, std::string name, net::NodeId node,
   tx_order_.set_alloc_sink(sink);
   peer_flow_.set_alloc_sink(sink);
   reliability_.set_alloc_sink(sink);
+  if (posted_ctx_) posted_ctx_->unit->set_alloc_sink(sink);
+  if (unexpected_ctx_) unexpected_ctx_->unit->set_alloc_sink(sink);
   // Finite eager budgets turn exhaustion into RNR-NACK protocol events
   // handled inside the reliability sublayer; with unlimited budgets no
   // admission hook is installed and the wire schedule is byte-identical

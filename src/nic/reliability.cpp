@@ -11,40 +11,6 @@ namespace alpu::nic {
 using common::LogLevel;
 using common::TimePs;
 
-// ---------------------------------------------------------------------------
-// PacketRing
-// ---------------------------------------------------------------------------
-
-bool PacketRing::push_back(const net::Packet& p) {
-  bool grew = false;
-  if (size_ == slots_.size()) {
-    grow(size_ + 1);
-    grew = true;
-  }
-  slots_[(head_ + size_) & (slots_.size() - 1)] = p;
-  ++size_;
-  return grew;
-}
-
-void PacketRing::pop_front() {
-  head_ = (head_ + 1) & (slots_.size() - 1);
-  --size_;
-}
-
-void PacketRing::clear() {
-  head_ = 0;
-  size_ = 0;
-}
-
-void PacketRing::grow(std::size_t at_least) {
-  std::size_t cap = slots_.empty() ? 8 : slots_.size() * 2;
-  while (cap < at_least) cap *= 2;
-  std::vector<net::Packet> next(cap);
-  for (std::size_t i = 0; i < size_; ++i) next[i] = at(i);
-  slots_ = std::move(next);
-  head_ = 0;
-}
-
 ReliabilityLayer::ReliabilityLayer(sim::Engine& engine, std::string name,
                                    const ReliabilityConfig& config,
                                    net::Network& network, net::NodeId node,
@@ -99,7 +65,12 @@ void ReliabilityLayer::send(net::Packet packet) {
   }
   packet.reliable = true;
   packet.seq = tx.next_seq++;
-  if (tx.window.push_back(packet)) ++stats_.buffer_allocs;
+  // The table default-constructs TxState, so the window learns where to
+  // count its growths on the link's first packet.
+  if (packet.seq == 0) {
+    tx.window.set_alloc_sink(common::AllocSink{&stats_.buffer_allocs, nullptr});
+  }
+  tx.window.push(packet);
   ++stats_.data_tx;
   if (tx.rnr_paused) {
     // The peer refused our window: hold fresh traffic too (it would
@@ -176,7 +147,7 @@ void ReliabilityLayer::on_ack(const net::Packet& packet) {
   // plain comparison is safe against 32-bit wrap in any workload here.
   bool progressed = false;
   while (!tx.window.empty() && tx.window.front().seq < packet.ack_seq) {
-    tx.window.pop_front();
+    tx.window.pop();
     ++tx.base;
     progressed = true;
   }
@@ -230,7 +201,7 @@ void ReliabilityLayer::on_rnr_nack(const net::Packet& packet) {
   // before the refusal count as progress).
   bool progressed = false;
   while (!tx.window.empty() && tx.window.front().seq < packet.ack_seq) {
-    tx.window.pop_front();
+    tx.window.pop();
     ++tx.base;
     progressed = true;
   }

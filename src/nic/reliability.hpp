@@ -49,48 +49,17 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/dense.hpp"
+#include "common/fifo.hpp"
 #include "common/time.hpp"
 #include "net/network.hpp"
 #include "sim/engine.hpp"
 
 namespace alpu::nic {
-
-/// Fixed-capacity (grow-by-doubling) ring of packets — the go-back-N
-/// retransmit window without per-packet heap traffic.  A deque here
-/// allocates a node every few pushes under retransmission storms; the
-/// ring allocates only when the window outgrows its current backing
-/// array, so steady-state retries are allocation-free (the
-/// `buffer_allocs`/`buffer_reserved` counters in ReliabilityStats prove
-/// it).
-class PacketRing {
- public:
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-  std::size_t capacity() const { return slots_.size(); }
-
-  const net::Packet& front() const { return slots_[head_]; }
-  /// i-th oldest element (0 == front) — the retransmit iteration order.
-  const net::Packet& at(std::size_t i) const {
-    return slots_[(head_ + i) & (slots_.size() - 1)];
-  }
-
-  /// Returns true when the push grew the backing array (an allocation —
-  /// the caller counts it).
-  bool push_back(const net::Packet& p);
-  void pop_front();
-  void clear();
-
- private:
-  void grow(std::size_t at_least);
-
-  std::vector<net::Packet> slots_;  ///< power-of-two capacity
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-};
 
 struct ReliabilityConfig {
   /// Off by default: the clean-path figures must not change.
@@ -275,7 +244,11 @@ class ReliabilityLayer {
   struct TxState {
     std::uint32_t next_seq = 0;
     std::uint32_t base = 0;  ///< oldest unacknowledged sequence number
-    PacketRing window;  ///< unACKed packets, pooled (no per-push allocs)
+    /// Unacknowledged packets, oldest first.  The window has no depth
+    /// limit; its storage grows by doubling and is kept, so steady-state
+    /// retries are allocation-free (ReliabilityStats.buffer_allocs).
+    common::BoundedFifo<net::Packet> window{
+        std::numeric_limits<std::size_t>::max()};
     sim::EventId timer = 0;
     bool timer_armed = false;
     unsigned attempts = 0;  ///< consecutive timeouts without progress

@@ -201,7 +201,8 @@ hw::AlpuConfig make_alpu_config(std::size_t cells) {
   cfg.match_latency_cycles = 7;
   cfg.insert_interval_cycles = 2;
   // Deep FIFOs: the modelled network applies no back-pressure, so the
-  // header FIFO must absorb a full benchmark burst.
+  // header FIFO must absorb a full benchmark burst.  The depths belong
+  // to the modelled hardware; host memory follows occupancy.
   cfg.header_fifo_depth = 8192;
   cfg.result_fifo_depth = 8192;
   cfg.command_fifo_depth = 1024;

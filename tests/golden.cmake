@@ -1,11 +1,13 @@
-# Row-driven checks of alpusim's stdout and exit code.  Each ctest runs
-# the rows of one group, named after the test (tests/CMakeLists.txt):
+# Row-driven checks of the stdout and exit code of alpusim and the bench
+# binaries.  Each ctest runs the rows of one group, named after the test
+# (tests/CMakeLists.txt):
 #
-#   cmake -DALPUSIM=<alpusim> -DGROUP=<test> -DOUT_DIR=<dir> -P golden.cmake
+#   cmake -DALPUSIM=<alpusim> -DBENCH_DIR=<dir> -DGROUP=<test>
+#         -DOUT_DIR=<dir> -P golden.cmake
 #
-# run(<file> <code> <args>...) runs `alpusim <args>` once and requires
+# run(<exe> <file> <code> <args>...) runs `<exe> <args>` once and requires
 # exit code <code> and, unless <file> is "", a stdout equal to <file>
-# byte for byte.  golden(<file> <args>...) runs it at --jobs 1, --jobs 8,
+# byte for byte.  golden(<file> <args>...) runs alpusim at --jobs 1, --jobs 8,
 # --shards 2 and --shards 8, each of which must exit 0 and print <file>:
 # simulated output must not depend on either flag, so one golden pins
 # all four.  A golden that does not match prints the command that
@@ -16,21 +18,23 @@ set(figures ${CMAKE_CURRENT_LIST_DIR}/../bench/e2e/golden)
 file(MAKE_DIRECTORY ${OUT_DIR})
 
 # Errors are reported and the remaining rows still run.
-function(run file code)
-  string(REPLACE ";" " " cmd "${ARGN}")
+function(run exe file code)
+  get_filename_component(name ${exe} NAME)
+  string(REPLACE ";" " " args "${ARGN}")
+  string(STRIP "${name} ${args}" cmd)
   string(MAKE_C_IDENTIFIER "${cmd}" id)
   set(out ${OUT_DIR}/${id}.out)
-  execute_process(COMMAND ${ALPUSIM} ${ARGN} OUTPUT_FILE ${out}
+  execute_process(COMMAND ${exe} ${ARGN} OUTPUT_FILE ${out}
                   ERROR_VARIABLE err RESULT_VARIABLE rc)
   if(NOT rc STREQUAL code)
-    message(SEND_ERROR "alpusim ${cmd}: exit ${rc}, expected ${code}\n${err}")
+    message(SEND_ERROR "${cmd}: exit ${rc}, expected ${code}\n${err}")
   elseif(file)
     execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${out} ${file}
                     RESULT_VARIABLE differs)
     if(differs)
-      message(SEND_ERROR "alpusim ${cmd}: stdout (${out}) differs from "
+      message(SEND_ERROR "${cmd}: stdout (${out}) differs from "
               "${file}.  If the change is deliberate, rewrite the golden "
-              "with\n  ${ALPUSIM} ${cmd} > ${file}")
+              "with\n  ${exe} ${args} > ${file}")
     endif()
   endif()
 endfunction()
@@ -38,7 +42,7 @@ endfunction()
 function(golden file)
   foreach(setting "--jobs;1" "--jobs;8" "--jobs;1;--shards;2"
                   "--jobs;1;--shards;8")
-    run(${file} 0 ${ARGN} ${setting})
+    run(${ALPUSIM} ${file} 0 ${ARGN} ${setting})
   endforeach()
 endfunction()
 
@@ -69,17 +73,27 @@ elseif(GROUP STREQUAL "golden_overload")
   endforeach()
 elseif(GROUP STREQUAL "golden_check")
   # The exhaustive depth-6 model check, sequence and op counts included.
-  run(${goldens}/check.txt 0 check --depth 6 --cells 4)
+  run(${ALPUSIM} ${goldens}/check.txt 0 check --depth 6 --cells 4)
+elseif(GROUP STREQUAL "golden_benches")
+  # What the bench binaries print: Tables IV/V, the Section V-D pipeline
+  # numbers, the Elan4 ratio and the ablations.  bench_engine prints
+  # wall time and has no golden.
+  foreach(bench bench_alpu_micro bench_app_traces bench_fpga_tables
+                bench_hash_ablation bench_message_rate bench_nic_comparison
+                bench_portals bench_preposted bench_protocol_crossover
+                bench_scaling bench_threshold bench_unexpected)
+    run(${BENCH_DIR}/${bench} ${goldens}/${bench}.txt 0)
+  endforeach()
 elseif(GROUP STREQUAL "check_rejects_bad_flags")
   # Flags the checker cannot run with print the usage text.
   foreach(flags "--depth;0" "--depth;-1" "--cells;0" "--cells;5"
                 "--block;3" "--impl;reference" "--flow;--depth;0")
-    run("" 2 check ${flags})
+    run(${ALPUSIM} "" 2 check ${flags})
   endforeach()
 elseif(GROUP STREQUAL "audit_triage_clean")
   # Divergence triage finds no divergent window on clean runs.
-  run("" 0 audit --shards 1,2)
-  run("" 0 audit --shards 2,8 --drop 0.05)
+  run(${ALPUSIM} "" 0 audit --shards 1,2)
+  run(${ALPUSIM} "" 0 audit --shards 2,8 --drop 0.05)
 else()
   message(FATAL_ERROR "golden.cmake: unknown GROUP '${GROUP}'")
 endif()

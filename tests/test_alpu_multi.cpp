@@ -99,11 +99,15 @@ class MultiUnitTest : public ::testing::Test {
     multi = std::make_unique<MultiProcessAlpu>(engine, "dut", cfg);
   }
 
-  Response next_result() {
-    while (!multi->unit().result_available()) {
-      engine.run_until(engine.now() + kCycle);
+  /// Steps event by event, so a unit that sleeps fails at the deadline.
+  Response next_result(common::TimePs budget = 1'000'000) {
+    const common::TimePs deadline = engine.now() + budget;
+    while (!multi->unit().result_available() &&
+           engine.next_event_time() <= deadline) {
+      engine.run_until(engine.next_event_time());
     }
-    return *multi->pop_result();
+    EXPECT_TRUE(multi->unit().result_available()) << "no result within budget";
+    return multi->pop_result().value_or(Response{});
   }
 
   void load(std::uint32_t pid, std::uint32_t tag, Cookie cookie) {

@@ -32,13 +32,15 @@ class PipelinedTest : public ::testing::Test {
     unit = std::make_unique<PipelinedAlpu>(engine, "dut", cfg);
   }
 
+  /// Steps event by event, so a unit that sleeps fails at the deadline.
   Response next_result(common::TimePs budget = 10'000'000) {
     const common::TimePs deadline = engine.now() + budget;
-    while (!unit->result_available() && engine.now() < deadline) {
-      engine.run_until(engine.now() + kCycle);
+    while (!unit->result_available() &&
+           engine.next_event_time() <= deadline) {
+      engine.run_until(engine.next_event_time());
     }
     EXPECT_TRUE(unit->result_available());
-    return *unit->pop_result();
+    return unit->pop_result().value_or(Response{});
   }
 
   void load(std::initializer_list<std::pair<match::Pattern, Cookie>> entries) {

@@ -37,13 +37,15 @@ class AlpuUnitTest : public ::testing::Test {
   }
 
   /// Run the simulation forward until a result is available (or fail).
+  /// Steps event by event, so a unit that sleeps fails at the deadline.
   Response next_result(TimePs budget = 1'000'000) {
     const TimePs deadline = engine.now() + budget;
-    while (!unit->result_available() && engine.now() < deadline) {
-      engine.run_until(engine.now() + kCycle);
+    while (!unit->result_available() &&
+           engine.next_event_time() <= deadline) {
+      engine.run_until(engine.next_event_time());
     }
     EXPECT_TRUE(unit->result_available()) << "no result within budget";
-    return *unit->pop_result();
+    return unit->pop_result().value_or(Response{});
   }
 
   /// Drive a full insert session for `entries` (returns granted count).

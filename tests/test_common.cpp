@@ -2,8 +2,11 @@
 // and the cache-resident control-path containers (dense.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -120,6 +123,84 @@ TEST(BoundedFifo, MoveOnlyPayload) {
   auto p = f.pop();
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(*p, 42);
+}
+
+TEST(BoundedFifo, FillsToItsDepthWhateverTheGrowthSteps) {
+  // 5 is below the first 8-slot storage; 12 grows 8 -> 12, not 16.
+  for (const std::size_t depth : {std::size_t{5}, std::size_t{12}}) {
+    BoundedFifo<std::size_t> f(depth);
+    for (std::size_t i = 0; i < depth; ++i) ASSERT_TRUE(f.try_push(i));
+    EXPECT_TRUE(f.full());
+    EXPECT_EQ(f.free_slots(), 0u);
+    EXPECT_FALSE(f.try_push(depth));
+    for (std::size_t i = 0; i < depth; ++i) EXPECT_EQ(f.pop(), i);
+  }
+}
+
+TEST(BoundedFifo, AllocSinkCountsEachDoublingOnce) {
+  std::uint64_t allocs = 0;
+  std::uint64_t bytes = 0;
+  BoundedFifo<std::uint64_t> f(100);
+  f.set_alloc_sink(AllocSink{&allocs, &bytes});
+  EXPECT_EQ(allocs, 0u);  // construction allocates nothing
+  // Storage grows to 8, 16, 32, 64 and then stops at the depth, 100.
+  const std::vector<std::uint64_t> growth_at = {0, 8, 16, 32, 64};
+  std::uint64_t expected = 0;
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    if (std::find(growth_at.begin(), growth_at.end(), i) != growth_at.end()) {
+      ++expected;
+    }
+    f.push(i);
+    EXPECT_EQ(allocs, expected) << "after push " << i;
+  }
+  EXPECT_EQ(bytes, (8 + 16 + 32 + 64 + 100) * sizeof(std::uint64_t));
+  f.clear();
+  for (std::uint64_t i = 0; i < 100; ++i) f.push(i);
+  EXPECT_EQ(allocs, 5u);  // a refill after clear() reuses the storage
+}
+
+TEST(BoundedFifo, FifoOrderAcrossWraparoundAndGrowth) {
+  std::uint64_t allocs = 0;
+  BoundedFifo<std::uint64_t> f(std::numeric_limits<std::size_t>::max());
+  f.set_alloc_sink(AllocSink{&allocs, nullptr});
+  f.push(0);
+  EXPECT_EQ(allocs, 1u);  // the first push allocates
+  std::uint64_t next_in = 1;
+  std::uint64_t next_out = 0;
+  // Push/pop churn far past the 8-slot storage so the head wraps
+  // repeatedly; 203 pops leave it mid-storage (203 % 8 == 3) when the
+  // growths below come.  FIFO order must hold throughout.
+  for (int round = 0; round < 203; ++round) {
+    while (f.size() < 5) f.push(next_in++);
+    EXPECT_EQ(f.front(), next_out);
+    EXPECT_EQ(f.at(f.size() - 1), next_in - 1);
+    EXPECT_EQ(f.pop(), next_out);
+    ++next_out;
+  }
+  EXPECT_EQ(allocs, 1u);
+  while (f.size() < 100) f.push(next_in++);
+  EXPECT_GT(allocs, 1u);
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    EXPECT_EQ(f.at(i), next_out + i);
+  }
+  const std::uint64_t grown = allocs;
+  f.clear();
+  EXPECT_TRUE(f.empty());
+  for (std::uint64_t i = 0; i < 100; ++i) f.push(i);
+  EXPECT_EQ(allocs, grown);  // clear() keeps the storage
+}
+
+TEST(BoundedFifo, MoveOnlyPayloadSurvivesGrowth) {
+  BoundedFifo<std::unique_ptr<int>> f(64);
+  for (int i = 0; i < 6; ++i) f.push(std::make_unique<int>(i));
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(*f.pop(), i);
+  // Wrapped head, then two growths (8 -> 16 -> 32).
+  for (int i = 6; i < 30; ++i) f.push(std::make_unique<int>(i));
+  for (int i = 3; i < 30; ++i) {
+    const std::unique_ptr<int> p = f.pop();
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(*p, i);
+  }
 }
 
 // ---- RNG -------------------------------------------------------------------

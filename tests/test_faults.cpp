@@ -450,40 +450,8 @@ TEST(RnrFlowControl, WedgedReceiverFailsTheLinkAndDrains) {
 }
 
 // ---------------------------------------------------------------------------
-// Pooled buffers (PacketRing retransmit window / reserved reorder hold).
+// Pooled buffers (retransmit window ring / reserved reorder hold).
 // ---------------------------------------------------------------------------
-
-TEST(PacketRing, FifoOrderAcrossWraparoundAndGrowth) {
-  nic::PacketRing ring;
-  auto pkt = [](std::uint64_t token) {
-    Packet p;
-    p.token = token;
-    return p;
-  };
-  EXPECT_TRUE(ring.push_back(pkt(0)));  // first push allocates
-  std::uint64_t next_in = 1, next_out = 0;
-  // Push/pop churn far past the capacity so head_ wraps repeatedly,
-  // then force growths mid-stream; FIFO order must hold throughout.
-  for (int round = 0; round < 200; ++round) {
-    while (ring.size() < 5) ring.push_back(pkt(next_in++));
-    EXPECT_EQ(ring.front().token, next_out);
-    EXPECT_EQ(ring.at(ring.size() - 1).token, next_in - 1);
-    ring.pop_front();
-    ++next_out;
-  }
-  std::uint64_t growths = 0;
-  while (ring.size() < 100) {
-    if (ring.push_back(pkt(next_in++))) ++growths;
-  }
-  EXPECT_GT(growths, 0u);
-  EXPECT_GE(ring.capacity(), 100u);
-  for (std::size_t i = 0; i < ring.size(); ++i) {
-    EXPECT_EQ(ring.at(i).token, next_out + i);
-  }
-  ring.clear();
-  EXPECT_TRUE(ring.empty());
-  EXPECT_GE(ring.capacity(), 100u);  // clear keeps the pool
-}
 
 TEST(Reliability, PooledBuffersStopAllocatingAtSteadyState) {
   FaultConfig faults;
