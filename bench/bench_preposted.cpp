@@ -2,15 +2,14 @@
 //
 // Sweeps queue length x fraction-traversed for the baseline NIC and the
 // 128/256-entry ALPU NICs (the paper's six panels: a/b baseline, c/d
-// 128-entry, e/f 256-entry).  Prints the full surface in CSV form plus
-// the 2D projections shown in the paper's right-hand panels, and the
-// headline scalar checks (ns/entry in- and out-of-cache, zero-queue ALPU
-// overhead, break-even queue length).
+// 128-entry, e/f 256-entry) and prints the 2D projections shown in the
+// paper's right-hand panels, then the steady-state and message-size
+// tables.  The surface itself is `alpusim sweep --figure 5`, and the
+// Section VI-B claims are rows of `alpusim conform`.
 //
 // Every data point is an independent fresh-machine simulation, so the
 // surface is computed on a parallel sweep pool (--jobs N, default
-// hardware_concurrency; output is byte-identical to --jobs 1).  --quick
-// runs the reduced CI grid and skips the auxiliary sections.
+// hardware_concurrency; output is byte-identical to --jobs 1).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -29,13 +28,12 @@ using workload::NicMode;
 
 int main(int argc, char** argv) {
   const auto flags = common::Flags::parse(argc, argv);
-  const bool quick = flags.has_value() && flags->get_bool("quick");
   workload::SweepOptions sweep;
   sweep.jobs = flags.has_value()
                    ? static_cast<int>(flags->get_int("jobs", 0))
                    : 0;
 
-  const std::vector<std::size_t> lengths = workload::fig5_queue_lengths(quick);
+  const std::vector<std::size_t> lengths = workload::fig5_queue_lengths(false);
   const std::vector<NicMode> modes = {NicMode::kBaseline, NicMode::kAlpu128,
                                       NicMode::kAlpu256};
 
@@ -43,13 +41,11 @@ int main(int argc, char** argv) {
   std::printf("(one-way latency, 0-byte payload; queue length counts the\n"
               " non-matching entries ahead of/behind the match)\n\n");
 
-  // Full surface as CSV (the paper's 3D panels a/c/e), computed on the
+  // The full surface (the paper's 3D panels a/c/e), computed on the
   // sweep pool.
   const std::vector<workload::SurfaceRow> rows =
-      workload::run_preposted_surface(workload::fig5_surface_points(quick),
+      workload::run_preposted_surface(workload::fig5_surface_points(false),
                                       sweep);
-  std::printf("surface_csv_begin\n%ssurface_csv_end\n\n",
-              workload::surface_csv(rows).c_str());
 
   auto at = [&](NicMode m, std::size_t len, double f) {
     for (const workload::SurfaceRow& r : rows) {
@@ -62,8 +58,8 @@ int main(int argc, char** argv) {
   };
 
   // 2D projections (panels b/d/f): latency vs length per fraction.
-  std::vector<double> proj_fractions = workload::fig5_fractions(quick);
-  if (!quick) proj_fractions.erase(proj_fractions.begin());  // drop f=0
+  std::vector<double> proj_fractions = workload::fig5_fractions(false);
+  proj_fractions.erase(proj_fractions.begin());  // drop f=0
   for (NicMode mode : modes) {
     common::TextTable t;
     std::vector<std::string> header{"queue_length"};
@@ -82,46 +78,12 @@ int main(int argc, char** argv) {
                 workload::nic_mode_name(mode), t.render().c_str());
   }
 
-  if (quick) return 0;  // CI grid: surface + projections only
-
-  // Headline scalar checks against the paper's Section VI-B numbers.
   const double base0 = at(NicMode::kBaseline, 0, 1.0);
-  const double base50 = at(NicMode::kBaseline, 50, 1.0);
-  const double base100 = at(NicMode::kBaseline, 100, 1.0);
-  const double base400 = at(NicMode::kBaseline, 400, 1.0);
-  const double base500_80 = at(NicMode::kBaseline, 500, 0.75);
-  const double alpu0 = at(NicMode::kAlpu128, 0, 1.0);
-
-  const double in_cache_per_entry = (base100 - base50) / 50.0;
-  const double deep_walk_per_entry = (base400 - base0) / 400.0;
-
-  std::printf("=== headline checks (paper, Section VI-B) ===\n");
-  std::printf("per-entry cost, short queue   : %6.1f ns   (paper ~15 ns)\n",
-              in_cache_per_entry);
-  std::printf("avg per-entry, 400-entry walk : %6.1f ns   (paper: 13 us/400 = 32.5 ns)\n",
-              deep_walk_per_entry);
-  std::printf("full 400-entry traversal      : %6.2f us  (paper ~13 us)\n",
-              (base400 - base0) / 1000.0);
-  std::printf("75%% of 500-entry traversal    : %6.2f us  (paper: 80%% ~24 us)\n",
-              (base500_80 - base0) / 1000.0);
-  std::printf("ALPU zero-queue overhead      : %6.1f ns   (paper ~80 ns)\n",
-              alpu0 - base0);
-
-  // Break-even: smallest queue length where alpu128 wins at f=1.
-  std::size_t break_even = 0;
-  for (std::size_t len : lengths) {
-    if (at(NicMode::kAlpu128, len, 1.0) <= at(NicMode::kBaseline, len, 1.0)) {
-      break_even = len;
-      break;
-    }
-  }
-  std::printf("ALPU break-even queue length  : %6zu      (paper ~5)\n",
-              break_even);
 
   // Steady-state variant: repeated pings over a standing queue keep the
   // traversed lines warm, the regime the paper's averaged-iteration
   // numbers (13 us for a full 400-entry walk) reflect.
-  std::printf("\n=== steady-state (iterated) full-traversal latency ===\n");
+  std::printf("=== steady-state (iterated) full-traversal latency ===\n");
   const std::vector<std::size_t> warm_lengths = {100, 200, 300, 400, 500};
   struct WarmPoint {
     double cold_ns = 0.0;

@@ -9,7 +9,7 @@
 // short-queue latency while keeping the ALPU's long-queue win.
 //
 // Independent fresh-machine cells, computed on the parallel sweep pool
-// (--jobs N; --quick for the CI grid).
+// (--jobs N).
 #include <cstdio>
 #include <vector>
 
@@ -23,16 +23,13 @@ int main(int argc, char** argv) {
   using workload::NicMode;
 
   const auto flags = common::Flags::parse(argc, argv);
-  const bool quick = flags.has_value() && flags->get_bool("quick");
   workload::SweepOptions sweep;
   sweep.jobs = flags.has_value()
                    ? static_cast<int>(flags->get_int("jobs", 0))
                    : 0;
 
   const std::vector<std::size_t> thresholds = {0, 5, 16, 64};
-  const std::vector<std::size_t> lengths =
-      quick ? std::vector<std::size_t>{0, 1, 5, 20, 50}
-            : std::vector<std::size_t>{0, 1, 2, 5, 10, 20, 50, 100};
+  const std::vector<std::size_t> lengths = {0, 1, 2, 5, 10, 20, 50, 100};
 
   std::printf("=== insert-threshold heuristic sweep (Section IV-B) ===\n");
   std::printf("(128-entry ALPU; one-way preposted latency in ns; baseline\n"

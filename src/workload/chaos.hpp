@@ -112,11 +112,12 @@ struct ChaosResult {
   std::uint64_t demoted_sends = 0;
   std::uint64_t stalls = 0;          ///< watchdog: quiescent yet undrained
 
-  /// The pass/fail verdict `alpusim chaos` and CI assert on.  With a
+  /// The pass/fail verdict `alpusim chaos` and CI assert on.  A run that
+  /// planned no message fails: delivering nothing proves nothing.  With a
   /// finite budget it additionally requires the peak occupancy to have
   /// respected the budget and the stall watchdog to have stayed silent.
   bool ok() const {
-    return completed && conserved && ordered && drained &&
+    return messages > 0 && completed && conserved && ordered && drained &&
            reliability.link_failures == 0 && stalls == 0 &&
            (pool_budget == 0 || peak_pool_bytes <= pool_budget) &&
            (slot_budget == 0 || peak_unexpected_slots <= slot_budget);

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 namespace alpu::workload {
@@ -68,6 +69,24 @@ const char* nic_mode_name(NicMode mode) {
   return "?";
 }
 
+namespace {
+
+/// The paper's panel and line order.
+constexpr std::array<NicMode, 3> kModes = {
+    NicMode::kBaseline, NicMode::kAlpu128, NicMode::kAlpu256};
+
+/// The mode's Table-III machine with the sweep's SEU model installed, or
+/// nothing when the model is off (the standard figure code path).
+std::optional<mpi::SystemConfig> seu_system(NicMode mode,
+                                            const SweepOptions& options) {
+  if (!options.seu.any()) return std::nullopt;
+  mpi::SystemConfig sys = make_system_config(mode);
+  sys.nic.seu = options.seu;
+  return sys;
+}
+
+}  // namespace
+
 std::vector<std::size_t> fig5_queue_lengths(bool quick) {
   if (quick) return {0, 5, 20, 50, 100, 200};
   return {0,  1,   2,   5,   10,  20,  50,  100,
@@ -82,11 +101,9 @@ std::vector<double> fig5_fractions(bool quick) {
 std::vector<SurfacePoint> fig5_surface_points(bool quick) {
   const std::vector<std::size_t> lengths = fig5_queue_lengths(quick);
   const std::vector<double> fractions = fig5_fractions(quick);
-  const NicMode modes[] = {NicMode::kBaseline, NicMode::kAlpu128,
-                           NicMode::kAlpu256};
   std::vector<SurfacePoint> points;
-  points.reserve(3 * lengths.size() * fractions.size());
-  for (NicMode mode : modes) {
+  points.reserve(kModes.size() * lengths.size() * fractions.size());
+  for (NicMode mode : kModes) {
     for (std::size_t len : lengths) {
       for (double f : fractions) {
         points.push_back({mode, len, f, 0});
@@ -107,11 +124,7 @@ std::vector<SurfaceRow> run_preposted_surface(
         p.fraction_traversed = pt.fraction_traversed;
         p.message_bytes = pt.message_bytes;
         p.shards = options.shards;
-        if (options.seu.any()) {
-          mpi::SystemConfig sys = make_system_config(pt.mode);
-          sys.nic.seu = options.seu;
-          p.system = sys;
-        }
+        p.system = seu_system(pt.mode, options);
         return run_preposted(p);
       },
       options);
@@ -134,6 +147,31 @@ std::string surface_csv(const std::vector<SurfaceRow>& rows) {
     out += line;
   }
   return out;
+}
+
+std::vector<std::size_t> fig6_queue_lengths(bool quick) {
+  if (quick) return {0, 1, 5, 10, 20, 35, 50, 70, 100, 150, 200, 300};
+  return {0,   1,   5,   10,  20,  35,  50,  70,  100,
+          128, 150, 200, 256, 300, 400, 500, 600};
+}
+
+std::vector<UnexpectedRow> run_unexpected_grid(
+    const std::vector<std::size_t>& lengths, const SweepOptions& options) {
+  return sweep_map(
+      lengths,
+      [&options](std::size_t len) {
+        UnexpectedRow row;
+        row.queue_length = len;
+        for (NicMode mode : kModes) {
+          row.by_mode[static_cast<std::size_t>(mode)] = run_unexpected(
+              {.mode = mode,
+               .queue_length = len,
+               .system = seu_system(mode, options),
+               .shards = options.shards});
+        }
+        return row;
+      },
+      options);
 }
 
 }  // namespace alpu::workload

@@ -4,8 +4,9 @@
 // simulations: `scenarios.hpp` builds a fresh Engine + Machine per data
 // point, so points share no mutable state and can run on separate OS
 // threads.  This header provides the thread-pool map that exploits that
-// independence, plus the Figure-5 surface helpers shared by
-// bench_preposted, `alpusim sweep`, and the determinism tests.
+// independence, plus the Figure 5 surface and Figure 6 grid that
+// `alpusim sweep`, `alpusim conform`, bench_preposted and the
+// determinism tests share.
 //
 // Determinism contract: results are collected into a slot per input
 // index, so the output order equals the input order no matter how the
@@ -15,6 +16,7 @@
 // parallel runs are identical too.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -100,5 +102,21 @@ std::vector<SurfaceRow> run_preposted_surface(
 /// CSV rendering (header + one row per point) — identical bytes for
 /// serial and parallel runs of the same points.
 std::string surface_csv(const std::vector<SurfaceRow>& rows);
+
+// ---- Figure-6 grid (the `alpusim sweep --figure 6` unit) -------------------
+
+/// One unexpected-queue length with a result per NIC mode.
+struct UnexpectedRow {
+  std::size_t queue_length = 0;
+  std::array<LatencyResult, 3> by_mode;  ///< indexed by NicMode
+};
+
+/// The paper's unexpected-queue axis; `quick` is the reduced CI grid.
+std::vector<std::size_t> fig6_queue_lengths(bool quick);
+
+/// Run every length on a sweep pool, each in all three modes; rows come
+/// back in the order of `lengths`.
+std::vector<UnexpectedRow> run_unexpected_grid(
+    const std::vector<std::size_t>& lengths, const SweepOptions& options);
 
 }  // namespace alpu::workload

@@ -1,17 +1,17 @@
-# Row-driven checks of the stdout and exit code of alpusim and the bench
-# binaries.  Each ctest runs the rows of one group, named after the test
-# (tests/CMakeLists.txt):
+# Row-driven checks of the stdout and exit code of alpusim, the bench
+# binaries and the examples.  Each ctest runs the rows of one group,
+# named after the test (tests/CMakeLists.txt):
 #
-#   cmake -DALPUSIM=<alpusim> -DBENCH_DIR=<dir> -DGROUP=<test>
-#         -DOUT_DIR=<dir> -P golden.cmake
+#   cmake -DALPUSIM=<alpusim> -DBENCH_DIR=<dir> -DEXAMPLES_DIR=<dir>
+#         -DGROUP=<test> -DOUT_DIR=<dir> -P golden.cmake
 #
 # run(<exe> <file> <code> <args>...) runs `<exe> <args>` once and requires
 # exit code <code> and, unless <file> is "", a stdout equal to <file>
 # byte for byte.  golden(<file> <args>...) runs alpusim at --jobs 1, --jobs 8,
 # --shards 2 and --shards 8, each of which must exit 0 and print <file>:
 # simulated output must not depend on either flag, so one golden pins
-# all four.  A golden that does not match prints the command that
-# rewrites it; name any deliberate golden change in CHANGES.md.
+# all four.  A mismatch says how to rewrite the golden (`fix`, by default
+# the command that does); name any deliberate golden change in CHANGES.md.
 
 set(goldens ${CMAKE_CURRENT_LIST_DIR}/golden)
 set(figures ${CMAKE_CURRENT_LIST_DIR}/../bench/e2e/golden)
@@ -32,9 +32,11 @@ function(run exe file code)
     execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${out} ${file}
                     RESULT_VARIABLE differs)
     if(differs)
+      if(NOT fix)
+        set(fix "rewrite the golden with\n  ${exe} ${args} > ${file}")
+      endif()
       message(SEND_ERROR "${cmd}: stdout (${out}) differs from "
-              "${file}.  If the change is deliberate, rewrite the golden "
-              "with\n  ${exe} ${args} > ${file}")
+              "${file}.  If the change is deliberate, ${fix}")
     endif()
   endif()
 endfunction()
@@ -74,21 +76,49 @@ elseif(GROUP STREQUAL "golden_overload")
 elseif(GROUP STREQUAL "golden_check")
   # The exhaustive depth-6 model check, sequence and op counts included.
   run(${ALPUSIM} ${goldens}/check.txt 0 check --depth 6 --cells 4)
+elseif(GROUP STREQUAL "golden_conform")
+  # The paper-claim table.  Its golden is the block between the conform
+  # fences in EXPERIMENTS.md, so the document cannot drift from it.
+  file(READ ${CMAKE_CURRENT_LIST_DIR}/../EXPERIMENTS.md doc)
+  if(NOT doc MATCHES "<!-- conform:begin -->\n(.*)<!-- conform:end -->")
+    message(FATAL_ERROR "EXPERIMENTS.md has no conform fences")
+  endif()
+  file(WRITE ${OUT_DIR}/conform.md "${CMAKE_MATCH_1}")
+  set(fix "paste its stdout between the conform fences in EXPERIMENTS.md")
+  golden(${OUT_DIR}/conform.md conform)
 elseif(GROUP STREQUAL "golden_benches")
-  # What the bench binaries print: Tables IV/V, the Section V-D pipeline
-  # numbers, the Elan4 ratio and the ablations.  bench_engine prints
-  # wall time and has no golden.
+  # What the bench binaries print: Tables IV/V, the Figure 5 projections,
+  # the Section V-D pipeline numbers, the Elan4 ratio and the ablations.
+  # bench_engine prints wall time, so only its exit code is checked.
   foreach(bench bench_alpu_micro bench_app_traces bench_fpga_tables
                 bench_hash_ablation bench_message_rate bench_nic_comparison
                 bench_portals bench_preposted bench_protocol_crossover
-                bench_scaling bench_threshold bench_unexpected)
+                bench_scaling bench_threshold)
     run(${BENCH_DIR}/${bench} ${goldens}/${bench}.txt 0)
+  endforeach()
+  run(${BENCH_DIR}/bench_engine "" 0)
+elseif(GROUP STREQUAL "golden_examples")
+  # The examples are small end-to-end simulations with printed results.
+  foreach(example quickstart ping_pong halo_exchange unexpected_flood
+                  portals_offload multi_process)
+    run(${EXAMPLES_DIR}/${example} ${goldens}/example_${example}.txt 0)
   endforeach()
 elseif(GROUP STREQUAL "check_rejects_bad_flags")
   # Flags the checker cannot run with print the usage text.
   foreach(flags "--depth;0" "--depth;-1" "--cells;0" "--cells;5"
                 "--block;3" "--impl;reference" "--flow;--depth;0")
     run(${ALPUSIM} "" 2 check ${flags})
+  endforeach()
+elseif(GROUP STREQUAL "alpusim_rejects_bad_flags")
+  # Flags a scenario would abort on, wrap to huge sizes, or run to a
+  # vacuous PASS print a reason and the usage text.
+  foreach(flags "chaos;--seeds;0" "chaos;--per-pair;0" "chaos;--ranks;1"
+      "chaos;--ranks;0" "chaos;--drop;-0.1" "chaos;--drop;1.5"
+      "preposted;--length;-5" "unexpected;--length;-1" "msgrate;--burst;0"
+      "preposted;--length;10;--fraction;2" "preposted;--iterations;0"
+      "preposted;--iterations;2;--fraction;0.5" "pingpong;--iterations;0"
+      "pingpong;--bytes;-1" "fpga;--cells;0" "fpga;--block;3")
+    run(${ALPUSIM} "" 2 ${flags})
   endforeach()
 elseif(GROUP STREQUAL "audit_triage_clean")
   # Divergence triage finds no divergent window on clean runs.

@@ -1,4 +1,5 @@
-// Tests for the FPGA area/timing model against Tables IV and V.
+// Tests for the FPGA area/timing model against Tables IV and V.  The
+// same fit is the "worst cell error" row of `alpusim conform`.
 #include <gtest/gtest.h>
 
 #include <cmath>

@@ -1,5 +1,6 @@
 // Tests for the benchmark scenario runners: the Figure 5/6 harnesses
-// must show the paper's qualitative behaviour on every build.
+// must show the paper's qualitative behaviour on every build.  `alpusim
+// conform` reports the same claims, with the paper's values, as a table.
 #include <gtest/gtest.h>
 
 #include "workload/scenarios.hpp"

@@ -387,5 +387,16 @@ INSTANTIATE_TEST_SUITE_P(ShardCounts, SteadyStateAllocs,
                            return "shards" + std::to_string(info.param);
                          });
 
+// A run that plans no message completes, conserves and drains
+// trivially; its verdict must still be FAIL, or a mistyped soak passes.
+TEST(ChaosVerdict, NoMessagesIsNotAPass) {
+  workload::ChaosParams p;
+  p.per_pair = 0;
+  const workload::ChaosResult r = workload::run_chaos(p);
+  EXPECT_EQ(r.messages, 0u);
+  EXPECT_TRUE(r.completed && r.conserved && r.ordered && r.drained);
+  EXPECT_FALSE(r.ok());
+}
+
 }  // namespace
 }  // namespace alpu::mpi

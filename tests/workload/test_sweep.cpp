@@ -3,8 +3,10 @@
 // byte-identical to --jobs 1, so these tests compare full CSV strings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -103,6 +105,17 @@ TEST(SweepRunner, GridShapesAreConsistent) {
     const auto points = fig5_surface_points(quick);
     EXPECT_EQ(points.size(), 3 * lengths.size() * fractions.size());
   }
+  // Figure 6: the quick grid is a subset of the full one, both ascending.
+  const auto full = fig6_queue_lengths(false);
+  const auto quick = fig6_queue_lengths(true);
+  EXPECT_EQ(full.size(), 17u);
+  EXPECT_EQ(quick.size(), 12u);
+  for (const auto& g : {full, quick}) {
+    EXPECT_EQ(std::adjacent_find(g.begin(), g.end(), std::greater_equal<>()),
+              g.end());
+  }
+  EXPECT_TRUE(
+      std::includes(full.begin(), full.end(), quick.begin(), quick.end()));
 }
 
 }  // namespace

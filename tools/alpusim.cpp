@@ -10,6 +10,7 @@
 //   alpusim fpga       --cells 256 --block 16 --flavor posted
 //   alpusim preposted  --length 300 --report      # dump machine state
 //   alpusim sweep      --figure 5 --jobs 8        # parallel figure CSV
+//   alpusim conform    --jobs 8                   # the paper's claims
 //
 // Output is a small key=value block (machine-parsable) plus optional
 // full component tables with --report.  `sweep` regenerates a whole
@@ -35,6 +36,10 @@
 #include "workload/scenarios.hpp"
 #include "workload/sweep.hpp"
 
+namespace alpu::tools {
+int run_conform(const common::Flags& flags);  // conform.cpp
+}  // namespace alpu::tools
+
 namespace {
 
 using namespace alpu;
@@ -43,7 +48,7 @@ using workload::NicMode;
 int usage() {
   std::fprintf(stderr,
                "usage: alpusim <preposted|unexpected|pingpong|msgrate|fpga"
-               "|sweep|check|chaos|audit>\n"
+               "|sweep|conform|check|chaos|audit>\n"
                "               [--mode baseline|alpu128|alpu256] [--length N]\n"
                "               [--fraction F] [--bytes N] [--iterations N]"
                " [--burst N] [--threshold N]\n"
@@ -53,6 +58,8 @@ int usage() {
                " [--flavor posted|unexpected] [--report]\n"
                "               [--figure 5|6] [--jobs N] [--quick]"
                " [--verbose]   (sweep mode)\n"
+               "               [--jobs N]   (conform: the paper's claims;"
+               " exit 1 if any fails)\n"
                "               [--shards N]   (conservative-parallel engine"
                " shards per simulation;\n"
                "                               results byte-identical at"
@@ -93,6 +100,42 @@ int usage() {
                "                               shard counts;"
                " needs -DALPU_AUDIT=ON)\n");
   return 2;
+}
+
+/// Flags a scenario cannot run with: a one-line reason, then the usage
+/// text and exit code 2.
+int reject(const std::string& scenario, const char* why) {
+  std::fprintf(stderr, "%s: %s\n", scenario.c_str(), why);
+  return usage();
+}
+
+/// Why the latency or fpga scenario cannot run with these flags, or
+/// nullptr.  Negative sizes would wrap to huge ones, and the runners
+/// abort on the rest.
+const char* bad_scenario_flag(const std::string& scenario,
+                              const common::Flags& flags) {
+  const double fraction = flags.get_double("fraction", 1.0);
+  const std::int64_t iterations = flags.get_int("iterations", 1);
+  const auto cells = static_cast<std::uint64_t>(flags.get_int("cells", 256));
+  const auto block = static_cast<std::uint64_t>(flags.get_int("block", 16));
+  if (flags.get_int("length", 0) < 0 || flags.get_int("bytes", 0) < 0) {
+    return "--length and --bytes must be at least 0";
+  }
+  if (iterations < 1 || flags.get_int("burst", 1) < 1) {
+    return "--iterations and --burst must be at least 1";
+  }
+  if (!(fraction >= 0.0 && fraction <= 1.0)) {
+    return "--fraction must lie in [0, 1]";
+  }
+  if (scenario == "preposted" && iterations > 1 && fraction != 1.0) {
+    return "--iterations above 1 always walks the whole queue (--fraction 1)";
+  }
+  if (scenario == "fpga" && !(std::has_single_bit(cells) &&
+                              std::has_single_bit(block) && block <= cells)) {
+    return "--cells and --block must be powers of two, --block at most "
+           "--cells";
+  }
+  return nullptr;
 }
 
 /// Reliability-sublayer knobs shared by the chaos and scenario paths.
@@ -183,8 +226,7 @@ int run_flow_check(const common::Flags& flags) {
 /// with 2 on flags the checker cannot run with.
 int run_check(const common::Flags& flags) {
   if (flags.get_int("depth", 1) < 1) {
-    std::fprintf(stderr, "check: --depth must be at least 1\n");
-    return usage();
+    return reject("check", "--depth must be at least 1");
   }
   if (flags.get_bool("flow")) {
     return run_flow_check(flags);
@@ -193,9 +235,8 @@ int run_check(const common::Flags& flags) {
   const std::int64_t block = flags.get_int("block", 2);
   if (cells < 1 || !std::has_single_bit(static_cast<std::uint64_t>(block)) ||
       cells % block != 0) {
-    std::fprintf(stderr, "check: --cells must be at least 1 and --block a "
-                         "power of two dividing it\n");
-    return usage();
+    return reject("check", "--cells must be at least 1 and --block a power "
+                           "of two dividing it");
   }
   check::CheckOptions opt;
   opt.depth = static_cast<std::size_t>(flags.get_int("depth", 6));
@@ -276,8 +317,10 @@ NicMode mode_of(const std::string& name, bool* ok) {
 /// `--verbose` companion output: aggregate probe-level engine counters
 /// over every data point of the sweep.  Printed to stderr so the CSV on
 /// stdout stays byte-identical with and without the flag.
-void print_counters(const common::MatchCounters& c, std::size_t points) {
-  std::fprintf(stderr, "points=%zu\n", points);
+void print_counters(const std::vector<workload::LatencyResult>& results) {
+  common::MatchCounters c;
+  for (const auto& r : results) c += r.match_counters;
+  std::fprintf(stderr, "points=%zu\n", results.size());
   std::fprintf(stderr, "match_probes=%llu\n",
                static_cast<unsigned long long>(c.probes));
   std::fprintf(stderr, "match_cells_scanned=%llu\n",
@@ -351,73 +394,32 @@ int run_sweep(const common::Flags& flags) {
   const bool verbose = flags.get_bool("verbose");
   const std::int64_t figure = flags.get_int("figure", 5);
 
+  if (figure != 5 && figure != 6) {
+    std::fprintf(stderr, "unknown --figure (5 or 6)\n");
+    return 2;
+  }
+  std::vector<workload::LatencyResult> results;
   if (figure == 5) {
     const auto rows = workload::run_preposted_surface(
         workload::fig5_surface_points(quick), sweep);
     std::printf("%s", workload::surface_csv(rows).c_str());
-    if (verbose) {
-      common::MatchCounters total;
-      std::vector<workload::LatencyResult> results;
-      results.reserve(rows.size());
-      for (const auto& row : rows) {
-        total += row.result.match_counters;
-        results.push_back(row.result);
-      }
-      print_counters(total, rows.size());
-      print_robustness_counters(results);
-    }
-    return 0;
-  }
-  if (figure == 6) {
-    const std::vector<std::size_t> lengths =
-        quick ? std::vector<std::size_t>{0, 1, 5, 10, 20, 35, 50, 70, 100,
-                                         150, 200, 300}
-              : std::vector<std::size_t>{0,   1,   5,   10,  20,  35,
-                                         50,  70,  100, 128, 150, 200,
-                                         256, 300, 400, 500, 600};
-    struct Point {
-      NicMode mode;
-      std::size_t length;
-    };
-    std::vector<Point> points;
-    for (std::size_t len : lengths) {
-      for (NicMode mode : {NicMode::kBaseline, NicMode::kAlpu128,
-                           NicMode::kAlpu256}) {
-        points.push_back({mode, len});
-      }
-    }
-    const std::vector<workload::LatencyResult> results = workload::sweep_map(
-        points,
-        [&sweep](const Point& pt) {
-          workload::UnexpectedParams p;
-          p.mode = pt.mode;
-          p.queue_length = pt.length;
-          p.shards = sweep.shards;
-          if (sweep.seu.any()) {
-            mpi::SystemConfig sys = workload::make_system_config(pt.mode);
-            sys.nic.seu = sweep.seu;
-            p.system = sys;
-          }
-          return workload::run_unexpected(p);
-        },
-        sweep);
+    for (const auto& row : rows) results.push_back(row.result);
+  } else {
     std::printf("queue_length,baseline_ns,alpu128_ns,alpu256_ns\n");
-    for (std::size_t i = 0; i < lengths.size(); ++i) {
-      std::printf("%zu,%.1f,%.1f,%.1f\n", lengths[i],
-                  common::to_ns(results[i * 3].latency),
-                  common::to_ns(results[i * 3 + 1].latency),
-                  common::to_ns(results[i * 3 + 2].latency));
+    for (const workload::UnexpectedRow& row : workload::run_unexpected_grid(
+             workload::fig6_queue_lengths(quick), sweep)) {
+      std::printf("%zu,%.1f,%.1f,%.1f\n", row.queue_length,
+                  common::to_ns(row.by_mode[0].latency),
+                  common::to_ns(row.by_mode[1].latency),
+                  common::to_ns(row.by_mode[2].latency));
+      results.insert(results.end(), row.by_mode.begin(), row.by_mode.end());
     }
-    if (verbose) {
-      common::MatchCounters total;
-      for (const auto& r : results) total += r.match_counters;
-      print_counters(total, results.size());
-      print_robustness_counters(results);
-    }
-    return 0;
   }
-  std::fprintf(stderr, "unknown --figure (5 or 6)\n");
-  return 2;
+  if (verbose) {
+    print_counters(results);
+    print_robustness_counters(results);
+  }
+  return 0;
 }
 
 /// `alpusim chaos`: the fault-rate soak.  Sweeps drop rates (default
@@ -462,9 +464,18 @@ int run_chaos(const common::Flags& flags) {
   hw::SeuConfig seu;
   const bool seu_on = apply_seu_flags(flags, &seu);
 
+  const double drop = flags.get_double("drop", 0.0);
+  if (ranks < 2 || per_pair < 1 || nseeds < 1) {
+    return reject("chaos", "--ranks must be at least 2, --per-pair and "
+                           "--seeds at least 1");
+  }
+  if (!(drop >= 0.0 && drop < 1.0)) {
+    return reject("chaos", "--drop must lie in [0, 1)");
+  }
+
   std::vector<double> rates;
   if (flags.has("drop")) {
-    rates.push_back(flags.get_double("drop", 0.0));
+    rates.push_back(drop);
   } else if (overload) {
     rates = {0.0, 1e-2};
   } else {
@@ -784,12 +795,18 @@ int main(int argc, char** argv) {
   if (scenario == "audit") {
     return run_audit(flags);
   }
+  if (scenario == "conform") {
+    return tools::run_conform(flags);
+  }
 
   bool mode_ok = true;
   const NicMode mode = mode_of(flags.get("mode", "baseline"), &mode_ok);
   if (!mode_ok) {
     std::fprintf(stderr, "unknown --mode\n");
     return usage();
+  }
+  if (const char* why = bad_scenario_flag(scenario, flags)) {
+    return reject(scenario, why);
   }
 
   if (flags.get_bool("trace")) {
