@@ -16,8 +16,6 @@
 //     buys.  On a single-CPU host the ratio sits near (or below) 1 —
 //     it is reported, never gated.
 //
-//   bench_engine [--iters N] [--shards N] [--ranks N] [--repeats N]
-//
 // Single-threaded host time per event and per message is measured by
 // bench/e2e (`sim.event_ns`, `host_ns_per_msg`); this binary stays for
 // the shard speedup, which bench/e2e does not run.
@@ -103,19 +101,24 @@ MachineRate measure_machine(int ranks, int per_pair, int shards,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags_opt = alpu::common::Flags::parse(argc, argv);
-  if (!flags_opt.has_value()) {
-    std::fprintf(stderr,
-                 "usage: bench_engine [--iters N] [--shards N] [--ranks N]"
-                 " [--repeats N]\n");
-    return 2;
-  }
-  const alpu::common::Flags& flags = *flags_opt;
-  const auto iters =
-      static_cast<std::uint64_t>(flags.get_int("iters", 2'000'000));
-  const int shards = static_cast<int>(flags.get_int("shards", 8));
-  const int ranks = static_cast<int>(flags.get_int("ranks", 16));
-  const int repeats = static_cast<int>(flags.get_int("repeats", 3));
+  using enum alpu::common::FlagKind;
+  const auto args =
+      alpu::common::FlagTable{
+          .command = "bench_engine",
+          .flags = {{.name = "iters", .kind = kInt, .fallback = "2000000",
+                     .min = 1, .help = "events of the engine-churn run"},
+                    {.name = "shards", .kind = kInt, .fallback = "8",
+                     .min = 1, .help = "shards of the sharded machine run"},
+                    {.name = "ranks", .kind = kInt, .fallback = "16",
+                     .min = 2, .help = "ranks of the all-to-all machine"},
+                    {.name = "repeats", .kind = kInt, .fallback = "3",
+                     .min = 1, .help = "machine runs per shard count"}}}
+          .parse(argc, argv);
+  if (!args) return 2;
+  const auto iters = static_cast<std::uint64_t>(args->integer("iters"));
+  const int shards = static_cast<int>(args->integer("shards"));
+  const int ranks = static_cast<int>(args->integer("ranks"));
+  const int repeats = static_cast<int>(args->integer("repeats"));
 
   const double churn = measure_engine_churn(iters);
   std::printf("engine churn:        %12.0f events/s (%llu events)\n", churn,

@@ -27,11 +27,12 @@ using workload::NicMode;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = common::Flags::parse(argc, argv);
+  const auto args = common::FlagTable{.command = "bench_preposted",
+                                      .flags = {workload::jobs_flag()}}
+                        .parse(argc, argv);
+  if (!args) return 2;
   workload::SweepOptions sweep;
-  sweep.jobs = flags.has_value()
-                   ? static_cast<int>(flags->get_int("jobs", 0))
-                   : 0;
+  sweep.jobs = static_cast<int>(args->integer("jobs"));
 
   const std::vector<std::size_t> lengths = workload::fig5_queue_lengths(false);
   const std::vector<NicMode> modes = {NicMode::kBaseline, NicMode::kAlpu128,

@@ -78,11 +78,12 @@ common::TimePs run_fan_in(NicMode mode, int nprocs, int per_peer) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = common::Flags::parse(argc, argv);
+  const auto args = common::FlagTable{.command = "bench_scaling",
+                                      .flags = {workload::jobs_flag()}}
+                        .parse(argc, argv);
+  if (!args) return 2;
   workload::SweepOptions sweep;
-  sweep.jobs = flags.has_value()
-                   ? static_cast<int>(flags->get_int("jobs", 0))
-                   : 0;
+  sweep.jobs = static_cast<int>(args->integer("jobs"));
 
   constexpr int kPerPeer = 16;
   std::printf("=== queue length scales with job size (Section II) ===\n");

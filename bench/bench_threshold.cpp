@@ -22,11 +22,12 @@ int main(int argc, char** argv) {
   using namespace alpu;
   using workload::NicMode;
 
-  const auto flags = common::Flags::parse(argc, argv);
+  const auto args = common::FlagTable{.command = "bench_threshold",
+                                      .flags = {workload::jobs_flag()}}
+                        .parse(argc, argv);
+  if (!args) return 2;
   workload::SweepOptions sweep;
-  sweep.jobs = flags.has_value()
-                   ? static_cast<int>(flags->get_int("jobs", 0))
-                   : 0;
+  sweep.jobs = static_cast<int>(args->integer("jobs"));
 
   const std::vector<std::size_t> thresholds = {0, 5, 16, 64};
   const std::vector<std::size_t> lengths = {0, 1, 2, 5, 10, 20, 50, 100};

@@ -1,6 +1,5 @@
 #include "workload/report.hpp"
 
-#include <cstdio>
 #include <sstream>
 
 #include "common/table.hpp"
@@ -80,10 +79,6 @@ std::string machine_report(mpi::Machine& machine) {
   }
 
   return out.str();
-}
-
-void print_machine_report(mpi::Machine& machine) {
-  std::fputs(machine_report(machine).c_str(), stdout);
 }
 
 }  // namespace alpu::workload

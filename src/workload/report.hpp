@@ -2,8 +2,8 @@
 //
 // Experiments usually want one latency number, but debugging a model
 // (or explaining a result) wants the whole picture: what each NIC
-// walked, hit, inserted, cached, and moved.  `print_machine_report`
-// renders that for all nodes.
+// walked, hit, inserted, cached, and moved.  `machine_report` renders
+// that for all nodes.
 #pragma once
 
 #include <string>
@@ -14,8 +14,5 @@ namespace alpu::workload {
 
 /// Render a full per-node report (NIC, ALPUs, caches, network).
 std::string machine_report(mpi::Machine& machine);
-
-/// Convenience: render to stdout.
-void print_machine_report(mpi::Machine& machine);
 
 }  // namespace alpu::workload

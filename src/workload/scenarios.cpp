@@ -6,6 +6,7 @@
 
 #include "common/check.hpp"
 #include "sim/parallel.hpp"
+#include "workload/report.hpp"
 
 namespace alpu::workload {
 
@@ -251,6 +252,7 @@ LatencyResult run_preposted(const PrepostedParams& params) {
     total += times.done_times[k] - times.send_times[k];
   }
   LatencyResult out = collect(machine, total / times.send_times.size());
+  if (params.report != nullptr) *params.report = machine_report(machine);
   out.total_sim_time = end;
   out.events_executed = shards.events_executed();
   return out;
@@ -274,6 +276,7 @@ LatencyResult run_unexpected(const UnexpectedParams& params) {
               "receive completed before it was posted");
   // Figure 6 latency includes the receive-posting time.
   LatencyResult out = collect(machine, times.recv_done - times.post_started);
+  if (params.report != nullptr) *params.report = machine_report(machine);
   out.total_sim_time = end;
   out.events_executed = shards.events_executed();
   return out;

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 
 #include "common/stats.hpp"
 #include "common/time.hpp"
@@ -62,6 +63,8 @@ struct PrepostedParams {
   /// node count; 1 = the byte-exact single-threaded path).  Results are
   /// byte-identical at any shard count.
   int shards = 1;
+  /// If set, receives `machine_report` of the measured machine.
+  std::string* report = nullptr;
 };
 
 struct UnexpectedParams {
@@ -72,6 +75,8 @@ struct UnexpectedParams {
   std::optional<mpi::SystemConfig> system;
   /// Engine shards (see PrepostedParams::shards).
   int shards = 1;
+  /// If set, receives `machine_report` of the measured machine.
+  std::string* report = nullptr;
 };
 
 /// Outcome of one measurement.

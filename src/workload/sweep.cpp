@@ -19,6 +19,17 @@ int resolve_jobs(int jobs) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
+common::FlagSpec jobs_flag() {
+  return {.name = "jobs", .kind = common::FlagKind::kInt, .fallback = "0",
+          .min = 0, .help = "sweep worker threads, 0 for one per core"};
+}
+
+common::FlagSpec shards_flag() {
+  return {.name = "shards", .kind = common::FlagKind::kInt, .fallback = "1",
+          .min = 1,
+          .help = "engine shards per simulation; every count prints the same"};
+}
+
 namespace detail {
 
 void parallel_for_index(std::size_t n, int jobs,

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "alpu/seu.hpp"
+#include "common/flags.hpp"
 #include "workload/scenarios.hpp"
 
 namespace alpu::workload {
@@ -43,6 +44,11 @@ struct SweepOptions {
 
 /// Resolve a --jobs value: <= 0 becomes hardware_concurrency (min 1).
 int resolve_jobs(int jobs);
+
+/// `--jobs` and `--shards`, the command-line rows of `jobs` and `shards`
+/// for alpusim and the figure benches.
+common::FlagSpec jobs_flag();
+common::FlagSpec shards_flag();
 
 namespace detail {
 /// Run body(i) for every i in [0, n) across resolve_jobs(jobs) worker

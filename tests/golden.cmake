@@ -76,6 +76,16 @@ elseif(GROUP STREQUAL "golden_overload")
 elseif(GROUP STREQUAL "golden_check")
   # The exhaustive depth-6 model check, sequence and op counts included.
   run(${ALPUSIM} ${goldens}/check.txt 0 check --depth 6 --cells 4)
+elseif(GROUP STREQUAL "golden_report")
+  # --report renders the machine the command measured: on node 0 the
+  # posted and unexpected walks add up to sw_entries_walked.  These
+  # commands take no --jobs, so golden() does not apply.
+  foreach(shards "" "--shards;2")
+    run(${ALPUSIM} ${goldens}/report_unexpected_50.txt 0
+        unexpected --length 50 --report ${shards})
+    run(${ALPUSIM} ${goldens}/report_preposted_alpu256_300.txt 0
+        preposted --mode alpu256 --length 300 --report ${shards})
+  endforeach()
 elseif(GROUP STREQUAL "golden_conform")
   # The paper-claim table.  Its golden is the block between the conform
   # fences in EXPERIMENTS.md, so the document cannot drift from it.
@@ -111,19 +121,44 @@ elseif(GROUP STREQUAL "check_rejects_bad_flags")
   endforeach()
 elseif(GROUP STREQUAL "alpusim_rejects_bad_flags")
   # Flags a scenario would abort on, wrap to huge sizes, or run to a
-  # vacuous PASS print a reason and the usage text.
+  # vacuous PASS print a reason and the usage text; so do misspelled
+  # names, flags the command does not read, malformed numbers and words
+  # outside their choices, which would otherwise run a configuration
+  # nobody asked for.
   foreach(flags "chaos;--seeds;0" "chaos;--per-pair;0" "chaos;--ranks;1"
       "chaos;--ranks;0" "chaos;--drop;-0.1" "chaos;--drop;1.5"
       "preposted;--length;-5" "unexpected;--length;-1" "msgrate;--burst;0"
       "preposted;--length;10;--fraction;2" "preposted;--iterations;0"
       "preposted;--iterations;2;--fraction;0.5" "pingpong;--iterations;0"
-      "pingpong;--bytes;-1" "fpga;--cells;0" "fpga;--block;3")
+      "pingpong;--bytes;-1" "fpga;--cells;0" "fpga;--block;3"
+      "sweep;--figur;6;--quick" "chaos;--seeds;1;--dorp;0.5"
+      "preposted;--lenght;300" "unexpected;--lenght;5" "msgrate;--brust;8"
+      "conform;--jbos;8" "check;--dpeth;3"
+      "pingpong;--alpu-model;pipelined" "fpga;--mode;alpu256"
+      "preposted;--length;abc" "preposted;--length;12abc"
+      "preposted;--fraction;0.5x" "chaos;--seeds;1;--drop;0.5x"
+      "chaos;--seeds;1;--drop=five" "fpga;--flavor;unexpectd"
+      "preposted;--alpu-model;pipelind" "sweep;--figure;5;--quick;--shards;0"
+      "sweep;--figure;5;--quick;--jobs;-3")
     run(${ALPUSIM} "" 2 ${flags})
   endforeach()
+elseif(GROUP STREQUAL "bench_rejects_bad_flags")
+  # The flag-taking benches print the usage for a flag they do not read.
+  foreach(row "bench_preposted;--jbos;8" "bench_scaling;--jbos;8"
+              "bench_threshold;--jbos;8" "bench_engine;--iter;1000")
+    list(POP_FRONT row bench)
+    run(${BENCH_DIR}/${bench} "" 2 ${row})
+  endforeach()
+elseif(GROUP STREQUAL "chaos_silent_flip_fails")
+  # Must-fail: a bit flip hidden from the parity layer fails the soak's
+  # conservation verdict.  Exit 1 exactly: 2 would mean the command line
+  # was rejected and the hook never ran.
+  run(${ALPUSIM} "" 1 chaos --seeds 1 --jobs 1 --shards 1 --inject-silent-flip)
 elseif(GROUP STREQUAL "audit_triage_clean")
   # Divergence triage finds no divergent window on clean runs.
   run(${ALPUSIM} "" 0 audit --shards 1,2)
   run(${ALPUSIM} "" 0 audit --shards 2,8 --drop 0.05)
+  run(${ALPUSIM} "" 2 audit --shrads 1,2)
 else()
   message(FATAL_ERROR "golden.cmake: unknown GROUP '${GROUP}'")
 endif()

@@ -16,9 +16,11 @@
 // full component tables with --report.  `sweep` regenerates a whole
 // figure surface on a thread pool (--jobs N, default
 // hardware_concurrency); its CSV is byte-identical at every job count.
+// Each command declares its flags once, in its row of `commands()`.
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,183 +34,140 @@
 #include "common/log.hpp"
 #include "fpga/area_model.hpp"
 #include "workload/chaos.hpp"
-#include "workload/report.hpp"
 #include "workload/scenarios.hpp"
 #include "workload/sweep.hpp"
 
 namespace alpu::tools {
-int run_conform(const common::Flags& flags);  // conform.cpp
+std::vector<common::FlagSpec> conform_flags();  // conform.cpp
+int run_conform(const common::Args& args);      // conform.cpp
 }  // namespace alpu::tools
 
 namespace {
 
 using namespace alpu;
+using enum common::FlagKind;
+using common::Args;
+using common::FlagSpec;
 using workload::NicMode;
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: alpusim <preposted|unexpected|pingpong|msgrate|fpga"
-               "|sweep|conform|check|chaos|audit>\n"
-               "               [--mode baseline|alpu128|alpu256] [--length N]\n"
-               "               [--fraction F] [--bytes N] [--iterations N]"
-               " [--burst N] [--threshold N]\n"
-               "               [--minbatch N] [--alpu-model"
-               " transaction|pipelined]\n"
-               "               [--cells N] [--block N] [--width N]"
-               " [--flavor posted|unexpected] [--report]\n"
-               "               [--figure 5|6] [--jobs N] [--quick]"
-               " [--verbose]   (sweep mode)\n"
-               "               [--jobs N]   (conform: the paper's claims;"
-               " exit 1 if any fails)\n"
-               "               [--shards N]   (conservative-parallel engine"
-               " shards per simulation;\n"
-               "                               results byte-identical at"
-               " any count)\n"
-               "               [--depth N] [--impl array|alpu|pipelined|all]\n"
-               "               [--inject-compaction-bug] [--flow]"
-               "   (check mode; --flow model-checks\n"
-               "                               the eager flow-control"
-               " spec)\n"
-               "               [--faults]   (check mode: add deterministic"
-               " bit corruption to the\n"
-               "                               alphabet; the spec demands"
-               " parity detection + recovery)\n"
-               "               [--seu-rate R] [--seu-seed S]"
-               " [--scrub-interval-us N]\n"
-               "                               (sweep/chaos: ALPU SEU"
-               " injection, parity planes,\n"
-               "                               background scrub)\n"
-               "               [--inject-silent-flip]   (check/chaos"
-               " must-fail hook: one flip\n"
-               "                               behind the parity layer's"
-               " back)\n"
-               "               [--drop R] [--dup R] [--reorder R]"
-               " [--corrupt R] [--ranks N]\n"
-               "               [--per-pair N] [--seeds N] [--fault-seed S]\n"
-               "               [--inject-lookahead-violation]"
-               "   (chaos mode)\n"
-               "               [--overload] [--pool-bytes N] [--slots N]"
-               "   (chaos incast overload\n"
-               "                               against a finite per-NIC"
-               " eager budget; extended CSV)\n"
-               "               [--rel-max-retries N] [--rel-base-timeout-us"
-               " N] [--rel-max-timeout-us N]\n"
-               "               [--rel-reorder-window N] [--rel-rnr-hint-us"
-               " N] [--rel-demote-after N]\n"
-               "               [--shards A,B]"
-               "   (audit mode: divergence triage between two\n"
-               "                               shard counts;"
-               " needs -DALPU_AUDIT=ON)\n");
-  return 2;
+constexpr common::TimePs kPsPerUs = 1'000'000;
+
+FlagSpec mode_flag(const char* fallback) {
+  return {.name = "mode", .kind = kWord, .fallback = fallback,
+          .choices = {workload::nic_mode_name(NicMode::kBaseline),
+                      workload::nic_mode_name(NicMode::kAlpu128),
+                      workload::nic_mode_name(NicMode::kAlpu256)},
+          .help = "the NIC: software lists only, or 128- or 256-entry ALPUs"};
 }
 
-/// Flags a scenario cannot run with: a one-line reason, then the usage
-/// text and exit code 2.
-int reject(const std::string& scenario, const char* why) {
-  std::fprintf(stderr, "%s: %s\n", scenario.c_str(), why);
-  return usage();
+/// --mode's choices are listed in NicMode order.
+NicMode mode(const Args& args) {
+  return static_cast<NicMode>(args.choice("mode"));
 }
 
-/// Why the latency or fpga scenario cannot run with these flags, or
-/// nullptr.  Negative sizes would wrap to huge ones, and the runners
-/// abort on the rest.
-const char* bad_scenario_flag(const std::string& scenario,
-                              const common::Flags& flags) {
-  const double fraction = flags.get_double("fraction", 1.0);
-  const std::int64_t iterations = flags.get_int("iterations", 1);
-  const auto cells = static_cast<std::uint64_t>(flags.get_int("cells", 256));
-  const auto block = static_cast<std::uint64_t>(flags.get_int("block", 16));
-  if (flags.get_int("length", 0) < 0 || flags.get_int("bytes", 0) < 0) {
-    return "--length and --bytes must be at least 0";
-  }
-  if (iterations < 1 || flags.get_int("burst", 1) < 1) {
-    return "--iterations and --burst must be at least 1";
-  }
-  if (!(fraction >= 0.0 && fraction <= 1.0)) {
-    return "--fraction must lie in [0, 1]";
-  }
-  if (scenario == "preposted" && iterations > 1 && fraction != 1.0) {
-    return "--iterations above 1 always walks the whole queue (--fraction 1)";
-  }
-  if (scenario == "fpga" && !(std::has_single_bit(cells) &&
-                              std::has_single_bit(block) && block <= cells)) {
-    return "--cells and --block must be powers of two, --block at most "
-           "--cells";
-  }
-  return nullptr;
+/// --mode and the ALPU of the latency scenarios; --threshold and
+/// --minbatch apply only when given.
+std::vector<FlagSpec> machine_flags() {
+  return {
+      mode_flag("baseline"),
+      {.name = "alpu-model", .kind = kWord, .fallback = "transaction",
+       .choices = {"transaction", "pipelined"},
+       .help = "the ALPU model: transaction-level or stage-level"},
+      {.name = "threshold", .kind = kInt,
+       .help = "queue length at which the firmware starts using the ALPU"},
+      {.name = "minbatch", .kind = kInt,
+       .help = "entries pending before an ALPU insert session starts"},
+  };
 }
 
-/// Reliability-sublayer knobs shared by the chaos and scenario paths.
-/// Returns true when any flag was given (the scenario path uses that to
-/// enable the sublayer the knobs configure).
-bool apply_reliability_flags(const common::Flags& flags,
-                             nic::ReliabilityConfig* rel) {
-  bool any = false;
-  if (flags.has("rel-max-retries")) {
-    rel->max_retries =
-        static_cast<unsigned>(flags.get_int("rel-max-retries", 12));
-    any = true;
-  }
-  if (flags.has("rel-base-timeout-us")) {
-    rel->base_timeout_ps = static_cast<common::TimePs>(
-        flags.get_int("rel-base-timeout-us", 60) * 1'000'000);
-    any = true;
-  }
-  if (flags.has("rel-max-timeout-us")) {
-    rel->max_timeout_ps = static_cast<common::TimePs>(
-        flags.get_int("rel-max-timeout-us", 2'000) * 1'000'000);
-    any = true;
-  }
-  if (flags.has("rel-reorder-window")) {
-    rel->reorder_window =
-        static_cast<std::size_t>(flags.get_int("rel-reorder-window", 64));
-    any = true;
-  }
-  if (flags.has("rel-rnr-hint-us")) {
-    rel->rnr_hint_us =
-        static_cast<std::uint32_t>(flags.get_int("rel-rnr-hint-us", 20));
-    any = true;
-  }
-  if (flags.has("rel-demote-after")) {
-    rel->rnr_demote_after =
-        static_cast<unsigned>(flags.get_int("rel-demote-after", 2));
-    any = true;
-  }
-  return any;
+/// The reliability layer's knobs; they apply only when given.
+std::vector<FlagSpec> reliability_flags() {
+  return {
+      {.name = "rel-max-retries", .kind = kInt,
+       .help = "timeouts without progress before a link is declared dead"},
+      {.name = "rel-base-timeout-us", .kind = kInt,
+       .help = "first retransmit timeout"},
+      {.name = "rel-max-timeout-us", .kind = kInt,
+       .help = "retransmit timeout backoff cap"},
+      {.name = "rel-reorder-window", .kind = kInt,
+       .help = "out-of-order packets buffered per peer"},
+      {.name = "rel-rnr-hint-us", .kind = kInt,
+       .help = "retry hint an RNR NACK carries"},
+      {.name = "rel-demote-after", .kind = kInt,
+       .help = "RNR refusals before a peer's eager sends go rendezvous"},
+  };
 }
 
-/// ALPU transient-fault knobs shared by the sweep and chaos paths.
-/// Returns true when the resulting config actually installs the model
-/// (rate or scrub nonzero) — zero-rate runs must stay byte-identical to
-/// flag-free ones, so callers gate all SEU output on this.
-bool apply_seu_flags(const common::Flags& flags, hw::SeuConfig* seu) {
-  if (flags.has("seu-rate")) {
-    seu->rate = flags.get_double("seu-rate", 0.0);
-  }
-  if (flags.has("seu-seed")) {
-    seu->seed =
-        static_cast<std::uint64_t>(flags.get_int("seu-seed", 0x5eed));
-  }
-  if (flags.has("scrub-interval-us")) {
-    seu->scrub_interval_ps = static_cast<common::TimePs>(
-        flags.get_int("scrub-interval-us", 0) * 1'000'000);
-  }
+/// The per-NIC eager budget; it applies only when given.
+std::vector<FlagSpec> budget_flags() {
+  return {
+      {.name = "pool-bytes", .kind = kInt,
+       .help = "eager payload bytes a NIC may stage, 0 for unlimited"},
+      {.name = "slots", .kind = kInt,
+       .help = "eager messages a NIC may stage, 0 for unlimited"},
+  };
+}
+
+/// Returns true when any reliability flag was given.
+bool apply_reliability_flags(const Args& args, nic::ReliabilityConfig* rel) {
+  // `|`, not `||`: every flag given must apply.
+  return args.set("rel-max-retries", &rel->max_retries) |
+         args.set("rel-base-timeout-us", &rel->base_timeout_ps, kPsPerUs) |
+         args.set("rel-max-timeout-us", &rel->max_timeout_ps, kPsPerUs) |
+         args.set("rel-reorder-window", &rel->reorder_window) |
+         args.set("rel-rnr-hint-us", &rel->rnr_hint_us) |
+         args.set("rel-demote-after", &rel->rnr_demote_after);
+}
+
+/// ALPU transient faults for sweep and chaos; they apply only when given.
+std::vector<FlagSpec> seu_flags() {
+  return {
+      {.name = "seu-rate", .kind = kReal,
+       .help = "chance of an ALPU bit flip per unit per microsecond"},
+      {.name = "seu-seed", .kind = kInt, .help = "bit-flip injector seed"},
+      {.name = "scrub-interval-us", .kind = kInt,
+       .help = "parity scrub period, 0 for none"},
+  };
+}
+
+/// Returns true when the resulting config installs the model (rate or
+/// scrub nonzero): zero-rate runs must stay byte-identical to flag-free
+/// ones, so callers gate all SEU output on this.
+bool apply_seu_flags(const Args& args, hw::SeuConfig* seu) {
+  args.set("seu-rate", &seu->rate);
+  args.set("seu-seed", &seu->seed);
+  args.set("scrub-interval-us", &seu->scrub_interval_ps, kPsPerUs);
   return seu->any();
+}
+
+/// The all-to-all chaos workload and its network faults, which chaos and
+/// audit share.  --dup, --reorder and --corrupt default to half the drop
+/// rate, so they apply only when given.
+std::vector<FlagSpec> chaos_workload_flags(const char* drop_fallback,
+                                           const char* drop_help) {
+  return {
+      mode_flag("alpu256"),
+      {.name = "ranks", .kind = kInt, .fallback = "4", .min = 2,
+       .help = "ranks in the all-to-all"},
+      {.name = "per-pair", .kind = kInt, .fallback = "8", .min = 1,
+       .help = "messages each rank sends each peer"},
+      {.name = "drop", .kind = kReal, .fallback = drop_fallback, .min = 0,
+       .max = 1, .max_open = true, .help = drop_help},
+      {.name = "dup", .kind = kReal, .help = "packet duplication rate"},
+      {.name = "reorder", .kind = kReal, .help = "packet reorder rate"},
+      {.name = "corrupt", .kind = kReal, .help = "packet corruption rate"},
+      {.name = "fault-seed", .kind = kInt, .fallback = "24301",
+       .help = "network fault injector seed"},
+  };
 }
 
 /// `alpusim check --flow`: bounded-exhaustive check of the eager
 /// flow-control spec (budgets, RNR NACKs, credits, demotion).
-int run_flow_check(const common::Flags& flags) {
+int run_flow_check(const Args& args) {
   check::FlowCheckOptions opt;
-  opt.depth = static_cast<std::size_t>(flags.get_int("depth", 7));
-  if (flags.has("pool-bytes")) {
-    opt.config.pool_bytes =
-        static_cast<std::uint32_t>(flags.get_int("pool-bytes", 4096));
-  }
-  if (flags.has("slots")) {
-    opt.config.slots =
-        static_cast<std::uint32_t>(flags.get_int("slots", 2));
-  }
+  args.set("depth", &opt.depth);
+  args.set("pool-bytes", &opt.config.pool_bytes);
+  args.set("slots", &opt.config.slots);
   const check::FlowCheckResult r = check::check_flow(opt);
   std::printf("check flow depth=%zu pool=%u slots=%u sequences=%llu "
               "ops=%llu %s\n",
@@ -224,28 +183,24 @@ int run_flow_check(const common::Flags& flags) {
 /// against the executable protocol spec (src/check/).  Exits non-zero
 /// on the first divergence, printing the minimal counterexample, and
 /// with 2 on flags the checker cannot run with.
-int run_check(const common::Flags& flags) {
-  if (flags.get_int("depth", 1) < 1) {
-    return reject("check", "--depth must be at least 1");
+int run_check(const Args& args) {
+  if (args.on("flow")) {
+    return run_flow_check(args);
   }
-  if (flags.get_bool("flow")) {
-    return run_flow_check(flags);
-  }
-  const std::int64_t cells = flags.get_int("cells", 4);
-  const std::int64_t block = flags.get_int("block", 2);
-  if (cells < 1 || !std::has_single_bit(static_cast<std::uint64_t>(block)) ||
+  const std::int64_t cells = args.integer("cells");
+  const std::int64_t block = args.integer("block");
+  if (!std::has_single_bit(static_cast<std::uint64_t>(block)) ||
       cells % block != 0) {
-    return reject("check", "--cells must be at least 1 and --block a power "
-                           "of two dividing it");
+    return args.reject("--block must be a power of two dividing --cells");
   }
   check::CheckOptions opt;
-  opt.depth = static_cast<std::size_t>(flags.get_int("depth", 6));
+  args.set("depth", &opt.depth);
   opt.cells = static_cast<std::size_t>(cells);
   opt.block = static_cast<std::size_t>(block);
-  opt.faults = flags.get_bool("faults");
+  opt.faults = args.on("faults");
 
   std::vector<check::ImplKind> impls;
-  const std::string impl = flags.get("impl", "all");
+  const std::string& impl = args.word("impl");
   if (impl == "array" || impl == "all") {
     impls.push_back(check::ImplKind::kArray);
   }
@@ -255,32 +210,22 @@ int run_check(const common::Flags& flags) {
   if (impl == "pipelined" || impl == "all") {
     impls.push_back(check::ImplKind::kPipelined);
   }
-  if (impls.empty()) {
-    std::fprintf(stderr, "unknown --impl\n");
-    return usage();
-  }
-
   std::vector<hw::AlpuFlavor> flavors;
-  const std::string flavor = flags.get("flavor", "both");
+  const std::string& flavor = args.word("flavor");
   if (flavor == "posted" || flavor == "both") {
     flavors.push_back(hw::AlpuFlavor::kPostedReceive);
   }
   if (flavor == "unexpected" || flavor == "both") {
     flavors.push_back(hw::AlpuFlavor::kUnexpected);
   }
-  if (flavors.empty()) {
-    std::fprintf(stderr, "unknown --flavor\n");
-    return usage();
-  }
 
   // Demonstration/self-test hook: plant the classic compaction
   // off-by-one in AlpuArray and watch the checker pin it down.
-  hw::testing::inject_compaction_off_by_one =
-      flags.get_bool("inject-compaction-bug");
+  hw::testing::inject_compaction_off_by_one = args.on("inject-compaction-bug");
   // Must-fail teeth for the fault model: one bit flip behind the parity
   // layer's back on the next insert.  The checker must produce a
   // counterexample — a clean PASS here means the detection is toothless.
-  if (flags.get_bool("inject-silent-flip")) {
+  if (args.on("inject-silent-flip")) {
     hw::testing::inject_silent_flip.store(true, std::memory_order_relaxed);
   }
 
@@ -303,15 +248,6 @@ int run_check(const common::Flags& flags) {
   hw::testing::inject_compaction_off_by_one = false;
   hw::testing::inject_silent_flip.store(false, std::memory_order_relaxed);
   return all_ok ? 0 : 1;
-}
-
-NicMode mode_of(const std::string& name, bool* ok) {
-  *ok = true;
-  if (name == "baseline") return NicMode::kBaseline;
-  if (name == "alpu128") return NicMode::kAlpu128;
-  if (name == "alpu256") return NicMode::kAlpu256;
-  *ok = false;
-  return NicMode::kBaseline;
 }
 
 /// `--verbose` companion output: aggregate probe-level engine counters
@@ -385,21 +321,15 @@ void print_robustness_counters(
 
 /// `alpusim sweep`: regenerate a figure surface on the parallel sweep
 /// pool and print it as CSV.
-int run_sweep(const common::Flags& flags) {
+int run_sweep(const Args& args) {
   workload::SweepOptions sweep;
-  sweep.jobs = static_cast<int>(flags.get_int("jobs", 0));
-  sweep.shards = static_cast<int>(flags.get_int("shards", 1));
-  apply_seu_flags(flags, &sweep.seu);
-  const bool quick = flags.get_bool("quick");
-  const bool verbose = flags.get_bool("verbose");
-  const std::int64_t figure = flags.get_int("figure", 5);
+  sweep.jobs = static_cast<int>(args.integer("jobs"));
+  sweep.shards = static_cast<int>(args.integer("shards"));
+  apply_seu_flags(args, &sweep.seu);
+  const bool quick = args.on("quick");
 
-  if (figure != 5 && figure != 6) {
-    std::fprintf(stderr, "unknown --figure (5 or 6)\n");
-    return 2;
-  }
   std::vector<workload::LatencyResult> results;
-  if (figure == 5) {
+  if (args.word("figure") == "5") {
     const auto rows = workload::run_preposted_surface(
         workload::fig5_surface_points(quick), sweep);
     std::printf("%s", workload::surface_csv(rows).c_str());
@@ -415,11 +345,28 @@ int run_sweep(const common::Flags& flags) {
       results.insert(results.end(), row.by_mode.begin(), row.by_mode.end());
     }
   }
-  if (verbose) {
+  if (args.on("verbose")) {
     print_counters(results);
     print_robustness_counters(results);
   }
   return 0;
+}
+
+/// The chaos workload `chaos_workload_flags()` describes, at drop rate
+/// `drop`.
+workload::ChaosParams chaos_workload(const Args& args, double drop) {
+  workload::ChaosParams p;
+  p.mode = mode(args);
+  p.ranks = static_cast<int>(args.integer("ranks"));
+  p.per_pair = static_cast<int>(args.integer("per-pair"));
+  p.faults.drop_rate = drop;
+  p.faults.dup_rate = p.faults.reorder_rate = p.faults.corrupt_rate =
+      drop / 2.0;
+  args.set("dup", &p.faults.dup_rate);
+  args.set("reorder", &p.faults.reorder_rate);
+  args.set("corrupt", &p.faults.corrupt_rate);
+  p.faults.seed = static_cast<std::uint64_t>(args.integer("fault-seed"));
+  return p;
 }
 
 /// `alpusim chaos`: the fault-rate soak.  Sweeps drop rates (default
@@ -429,74 +376,54 @@ int run_sweep(const common::Flags& flags) {
 /// exactly once, in per-pair order, with all queues drained and no link
 /// declared dead.  Duplication/reorder/corruption rates ride along at
 /// half the drop rate each unless given explicitly.
-int run_chaos(const common::Flags& flags) {
-  if (flags.get_bool("debug")) {
-    common::set_log_level(common::LogLevel::kDebug);
-  }
+int run_chaos(const Args& args) {
   workload::SweepOptions sweep;
-  sweep.jobs = static_cast<int>(flags.get_int("jobs", 0));
-  sweep.shards = static_cast<int>(flags.get_int("shards", 1));
+  sweep.jobs = static_cast<int>(args.integer("jobs"));
+  sweep.shards = static_cast<int>(args.integer("shards"));
 
-  bool mode_ok = true;
-  const NicMode mode = mode_of(flags.get("mode", "alpu256"), &mode_ok);
-  if (!mode_ok) {
-    std::fprintf(stderr, "unknown --mode\n");
-    return 2;
-  }
   // Incast overload: every rank floods rank 0 with eager traffic while
   // rank 0 drains slowly, against a finite per-NIC eager budget.  The
   // defaults pick a budget far below the offered load so the run leans
   // on the full RNR-NACK / backoff / credit / demotion machinery.
-  const bool overload = flags.get_bool("overload");
-  const int ranks =
-      static_cast<int>(flags.get_int("ranks", overload ? 9 : 4));
-  const int per_pair = static_cast<int>(flags.get_int("per-pair", 8));
-  const int nseeds = static_cast<int>(flags.get_int("seeds", 2));
-  const auto fault_seed =
-      static_cast<std::uint64_t>(flags.get_int("fault-seed", 0x5eed));
-  const auto pool_bytes = static_cast<std::uint64_t>(
-      flags.get_int("pool-bytes", overload ? 32'768 : 0));
-  const auto slots = static_cast<std::uint32_t>(
-      flags.get_int("slots", overload ? 16 : 0));
+  const bool overload = args.on("overload");
+  std::uint64_t pool_bytes = overload ? 32'768 : 0;
+  std::uint32_t slots = overload ? 16 : 0;
+  args.set("pool-bytes", &pool_bytes);
+  args.set("slots", &slots);
   // ALPU transient faults compound with the network faults: the same
   // soak must stay exactly-once / in-order / drained while the parity +
   // scrub + rebuild machinery absorbs bit flips underneath it.
   hw::SeuConfig seu;
-  const bool seu_on = apply_seu_flags(flags, &seu);
+  const bool seu_on = apply_seu_flags(args, &seu);
 
-  const double drop = flags.get_double("drop", 0.0);
-  if (ranks < 2 || per_pair < 1 || nseeds < 1) {
-    return reject("chaos", "--ranks must be at least 2, --per-pair and "
-                           "--seeds at least 1");
-  }
-  if (!(drop >= 0.0 && drop < 1.0)) {
-    return reject("chaos", "--drop must lie in [0, 1)");
-  }
-
-  std::vector<double> rates;
-  if (flags.has("drop")) {
-    rates.push_back(drop);
+  std::vector<double> rates = {0.0, 1e-3, 1e-2};
+  if (args.given("drop")) {
+    rates = {args.real("drop")};
   } else if (overload) {
     rates = {0.0, 1e-2};
-  } else {
-    rates = {0.0, 1e-3, 1e-2};
   }
-
-  struct Point {
-    double rate;
-    std::uint64_t seed;
-  };
-  std::vector<Point> points;
+  const std::int64_t seeds = args.integer("seeds");
+  std::vector<workload::ChaosParams> points;
   for (double rate : rates) {
-    for (int s = 0; s < nseeds; ++s) {
-      points.push_back({rate, static_cast<std::uint64_t>(s + 1)});
+    for (std::int64_t s = 1; s <= seeds; ++s) {
+      workload::ChaosParams p = chaos_workload(args, rate);
+      if (overload && !args.given("ranks")) p.ranks = 9;
+      p.seed = static_cast<std::uint64_t>(s);
+      p.faults.seed += p.seed;
+      p.seu = seu;
+      p.shards = sweep.shards;
+      p.overload = overload;
+      p.eager_pool_bytes = pool_bytes;
+      p.unexpected_slots = slots;
+      apply_reliability_flags(args, &p.reliability);
+      points.push_back(p);
     }
   }
 
   // Must-fail hook: back-date one cross-shard delivery past the
   // conservative lookahead bound.  The determinism auditor (ALPU_AUDIT
   // builds) must abort with a provenance chain.
-  if (flags.get_bool("inject-lookahead-violation")) {
+  if (args.on("inject-lookahead-violation")) {
     hw::testing::inject_lookahead_violation.store(true,
                                                   std::memory_order_relaxed);
   }
@@ -504,31 +431,13 @@ int run_chaos(const common::Flags& flags) {
   // parity layer's back.  Run with --jobs 1 --shards 1 and no --seu
   // flags; the corrupted entry mismatches a receive, so the soak must
   // FAIL — a PASS means silent corruption got through undetected.
-  if (flags.get_bool("inject-silent-flip")) {
+  if (args.on("inject-silent-flip")) {
     hw::testing::inject_silent_flip.store(true, std::memory_order_relaxed);
   }
 
   const std::vector<workload::ChaosResult> results = workload::sweep_map(
       points,
-      [&](const Point& pt) {
-        workload::ChaosParams p;
-        p.mode = mode;
-        p.ranks = ranks;
-        p.per_pair = per_pair;
-        p.seed = pt.seed;
-        p.faults.drop_rate = pt.rate;
-        p.faults.dup_rate = flags.get_double("dup", pt.rate / 2.0);
-        p.faults.reorder_rate = flags.get_double("reorder", pt.rate / 2.0);
-        p.faults.corrupt_rate = flags.get_double("corrupt", pt.rate / 2.0);
-        p.faults.seed = fault_seed + pt.seed;
-        p.seu = seu;
-        p.shards = sweep.shards;
-        p.overload = overload;
-        p.eager_pool_bytes = pool_bytes;
-        p.unexpected_slots = slots;
-        apply_reliability_flags(flags, &p.reliability);
-        return workload::run_chaos(p);
-      },
+      [](const workload::ChaosParams& p) { return workload::run_chaos(p); },
       sweep);
 
   // The default CSV is a pinned interface (CI diffs it across --jobs);
@@ -548,11 +457,12 @@ int run_chaos(const common::Flags& flags) {
   common::TimePs total_detect_latency = 0;
   for (std::size_t i = 0; i < points.size(); ++i) {
     const workload::ChaosResult& r = results[i];
+    const double rate = points[i].faults.drop_rate;
+    const auto seed = static_cast<unsigned long long>(points[i].seed);
     all_ok = all_ok && r.ok();
     std::printf(
         "%g,%llu,%llu,%.3f,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,",
-        points[i].rate, static_cast<unsigned long long>(points[i].seed),
-        static_cast<unsigned long long>(r.messages),
+        rate, seed, static_cast<unsigned long long>(r.messages),
         common::to_ns(r.sim_time) / 1e6,
         static_cast<unsigned long long>(r.net.faults_dropped),
         static_cast<unsigned long long>(r.net.faults_duplicated),
@@ -592,9 +502,7 @@ int run_chaos(const common::Flags& flags) {
                    "chaos FAIL at drop=%g seed=%llu: completed=%d "
                    "conserved=%d ordered=%d drained=%d link_failures=%llu "
                    "stalls=%llu peak_pool=%llu/%llu peak_slots=%llu/%llu\n",
-                   points[i].rate,
-                   static_cast<unsigned long long>(points[i].seed),
-                   r.completed, r.conserved, r.ordered, r.drained,
+                   rate, seed, r.completed, r.conserved, r.ordered, r.drained,
                    static_cast<unsigned long long>(
                        r.reliability.link_failures),
                    static_cast<unsigned long long>(r.stalls),
@@ -639,32 +547,17 @@ int run_chaos(const common::Flags& flags) {
 /// Exit 0 = traces identical; 1 = divergence found (and localized);
 /// 2 = usage / not an ALPU_AUDIT build.
 #if ALPU_AUDIT
-int run_audit(const common::Flags& flags) {
+int run_audit(const Args& args) {
   unsigned shards_a = 0, shards_b = 0;
-  const std::string spec = flags.get("shards", "1,2");
-  if (std::sscanf(spec.c_str(), "%u,%u", &shards_a, &shards_b) != 2 ||
-      shards_a == 0 || shards_b == 0) {
-    std::fprintf(stderr, "audit: --shards wants two counts, e.g. 1,2\n");
-    return 2;
+  int end = 0;
+  const std::string& spec = args.word("shards");
+  if (std::sscanf(spec.c_str(), "%u,%u%n", &shards_a, &shards_b, &end) != 2 ||
+      spec[static_cast<std::size_t>(end)] != '\0' || shards_a == 0 ||
+      shards_b == 0) {
+    return args.reject("--shards wants two counts, e.g. 1,2");
   }
-
-  bool mode_ok = true;
-  workload::ChaosParams base;
-  base.mode = mode_of(flags.get("mode", "alpu256"), &mode_ok);
-  if (!mode_ok) {
-    std::fprintf(stderr, "unknown --mode\n");
-    return 2;
-  }
-  base.ranks = static_cast<int>(flags.get_int("ranks", 4));
-  base.per_pair = static_cast<int>(flags.get_int("per-pair", 8));
-  base.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const double rate = flags.get_double("drop", 0.0);
-  base.faults.drop_rate = rate;
-  base.faults.dup_rate = flags.get_double("dup", rate / 2.0);
-  base.faults.reorder_rate = flags.get_double("reorder", rate / 2.0);
-  base.faults.corrupt_rate = flags.get_double("corrupt", rate / 2.0);
-  base.faults.seed =
-      static_cast<std::uint64_t>(flags.get_int("fault-seed", 0x5eed));
+  workload::ChaosParams base = chaos_workload(args, args.real("drop"));
+  base.seed = static_cast<std::uint64_t>(args.integer("seed"));
 
   const auto run_traced = [&base](unsigned nshards, check::Auditor& auditor,
                                   std::uint64_t capture_window) {
@@ -753,7 +646,7 @@ int run_audit(const common::Flags& flags) {
   return 1;
 }
 #else   // !ALPU_AUDIT
-int run_audit(const common::Flags&) {
+int run_audit(const Args&) {
   std::fprintf(stderr,
                "alpusim audit needs the determinism audit layer; rebuild "
                "with cmake -DALPU_AUDIT=ON\n");
@@ -761,7 +654,8 @@ int run_audit(const common::Flags&) {
 }
 #endif  // ALPU_AUDIT
 
-void print_result(const workload::LatencyResult& r) {
+void print_result(const workload::LatencyResult& r,
+                  const std::string& report) {
   std::printf("latency_ns=%.1f\n", common::to_ns(r.latency));
   std::printf("sw_entries_walked=%llu\n",
               static_cast<unsigned long long>(r.sw_entries_walked));
@@ -771,159 +665,250 @@ void print_result(const workload::LatencyResult& r) {
               static_cast<unsigned long long>(r.alpu_misses));
   std::printf("l1_hit_rate=%.4f\n", r.l1_hit_rate);
   std::printf("total_sim_time_ns=%.1f\n", common::to_ns(r.total_sim_time));
+  std::fputs(report.c_str(), stdout);
+}
+
+mpi::SystemConfig machine_config(const Args& args) {
+  mpi::SystemConfig system = workload::make_system_config(mode(args));
+  if (args.word("alpu-model") == "pipelined") {
+    system.nic.alpu_model = nic::AlpuModelKind::kPipelined;
+  }
+  args.set("threshold", &system.nic.alpu_policy.insert_threshold);
+  args.set("minbatch", &system.nic.alpu_policy.min_batch);
+  // Reliability / flow-control knobs apply to the latency scenarios too
+  // (e.g. measuring the cost of a tiny eager budget on a clean link).
+  if (apply_reliability_flags(args, &system.nic.reliability) |
+      args.set("pool-bytes", &system.nic.eager_pool_bytes) |
+      args.set("slots", &system.nic.unexpected_slots)) {
+    system.nic.reliability.enabled = true;
+  }
+  return system;
+}
+
+int run_preposted(const Args& args) {
+  workload::PrepostedParams p;
+  p.system = machine_config(args);
+  p.queue_length = static_cast<std::size_t>(args.integer("length"));
+  p.fraction_traversed = args.real("fraction");
+  p.message_bytes = static_cast<std::uint32_t>(args.integer("bytes"));
+  p.iterations = static_cast<int>(args.integer("iterations"));
+  p.shards = static_cast<int>(args.integer("shards"));
+  if (p.iterations > 1 && p.fraction_traversed != 1.0) {
+    return args.reject(
+        "--iterations above 1 always walks the whole queue (--fraction 1)");
+  }
+  std::string report;
+  if (args.on("report")) p.report = &report;
+  print_result(workload::run_preposted(p), report);
+  return 0;
+}
+
+int run_unexpected(const Args& args) {
+  workload::UnexpectedParams p;
+  p.system = machine_config(args);
+  p.queue_length = static_cast<std::size_t>(args.integer("length"));
+  p.message_bytes = static_cast<std::uint32_t>(args.integer("bytes"));
+  p.shards = static_cast<int>(args.integer("shards"));
+  std::string report;
+  if (args.on("report")) p.report = &report;
+  print_result(workload::run_unexpected(p), report);
+  return 0;
+}
+
+int run_pingpong(const Args& args) {
+  const common::TimePs t = workload::run_pingpong(
+      mode(args), static_cast<std::uint32_t>(args.integer("bytes")),
+      static_cast<int>(args.integer("iterations")));
+  std::printf("half_rtt_ns=%.1f\n", common::to_ns(t));
+  return 0;
+}
+
+int run_msgrate(const Args& args) {
+  workload::MessageRateParams p;
+  p.system = machine_config(args);
+  p.queue_length = static_cast<std::size_t>(args.integer("length"));
+  p.burst = static_cast<int>(args.integer("burst"));
+  p.message_bytes = static_cast<std::uint32_t>(args.integer("bytes"));
+  p.shards = static_cast<int>(args.integer("shards"));
+  const common::TimePs gap = workload::run_message_rate(p);
+  std::printf("gap_ns=%.1f\n", common::to_ns(gap));
+  std::printf("mmsgs_per_s=%.3f\n", 1e3 / common::to_ns(gap));
+  return 0;
+}
+
+int run_fpga(const Args& args) {
+  const auto cells = static_cast<std::uint64_t>(args.integer("cells"));
+  const auto block = static_cast<std::uint64_t>(args.integer("block"));
+  if (!(std::has_single_bit(cells) && std::has_single_bit(block) &&
+        block <= cells)) {
+    return args.reject(
+        "--cells and --block must be powers of two, --block at most --cells");
+  }
+  fpga::PrototypeParams p;
+  p.total_cells = cells;
+  p.block_size = block;
+  p.match_width = static_cast<unsigned>(args.integer("width"));
+  p.flavor = args.word("flavor") == "unexpected"
+                 ? hw::AlpuFlavor::kUnexpected
+                 : hw::AlpuFlavor::kPostedReceive;
+  const auto est = fpga::estimate(p);
+  std::printf("luts=%llu\nffs=%llu\nslices=%llu\n",
+              static_cast<unsigned long long>(est.luts),
+              static_cast<unsigned long long>(est.flip_flops),
+              static_cast<unsigned long long>(est.slices));
+  std::printf("clock_mhz=%.1f\nasic_mhz=%.0f\npipeline=%u\n",
+              est.clock_mhz, est.asic_clock_mhz, est.pipeline_latency);
+  return 0;
+}
+
+struct Command {
+  const char* name;
+  const char* summary;
+  std::vector<FlagSpec> flags;  ///< all but --log, which every command takes
+  int (*run)(const Args&);
+};
+
+std::vector<FlagSpec> concat(
+    std::initializer_list<std::vector<FlagSpec>> groups) {
+  std::vector<FlagSpec> out;
+  for (const std::vector<FlagSpec>& g : groups) {
+    out.insert(out.end(), g.begin(), g.end());
+  }
+  return out;
+}
+
+std::vector<Command> commands() {
+  const FlagSpec length{.name = "length", .kind = kInt, .fallback = "0",
+                        .min = 0, .help = "entries queued ahead of the match"};
+  const FlagSpec bytes{.name = "bytes", .kind = kInt, .fallback = "0",
+                       .min = 0, .help = "message payload bytes"};
+  const FlagSpec report{.name = "report",
+                        .help = "print every component's counters at the end"};
+  const std::vector<FlagSpec> latency =
+      concat({{length, bytes, workload::shards_flag()}, machine_flags(),
+              reliability_flags(), budget_flags()});
+  const FlagSpec silent_flip{
+      .name = "inject-silent-flip",
+      .help = "must-fail hook: one ALPU bit flip hidden from parity"};
+  return {
+      {"preposted", "Figure 5: one-way latency past a pre-posted queue",
+       concat({latency,
+               {{.name = "fraction", .kind = kReal, .fallback = "1", .min = 0,
+                 .max = 1, .help = "share of the queue the message walks"},
+                {.name = "iterations", .kind = kInt, .fallback = "1",
+                 .min = 1, .help = "measured pings, averaged"},
+                report}}),
+       run_preposted},
+      {"unexpected", "Figure 6: receive latency past an unexpected queue",
+       concat({latency, {report}}), run_unexpected},
+      {"pingpong", "half round-trip time with empty queues",
+       {mode_flag("baseline"), bytes,
+        {.name = "iterations", .kind = kInt, .fallback = "8", .min = 1,
+         .help = "measured round trips, averaged"}},
+       run_pingpong},
+      {"msgrate", "per-message gap of a burst past a standing posted queue",
+       concat({latency,
+               {{.name = "burst", .kind = kInt, .fallback = "64", .min = 1,
+                 .help = "messages in the measured burst"}}}),
+       run_msgrate},
+      {"fpga", "Table IV/V area and clock estimate of one ALPU",
+       {{.name = "cells", .kind = kInt, .fallback = "256",
+         .help = "cells in the unit, a power of two"},
+        {.name = "block", .kind = kInt, .fallback = "16",
+         .help = "cells per block, a power of two"},
+        {.name = "width", .kind = kInt, .fallback = "42",
+         .help = "match bits per cell"},
+        {.name = "flavor", .kind = kWord, .fallback = "posted",
+         .choices = {"posted", "unexpected"}, .help = "which unit"}},
+       run_fpga},
+      {"sweep", "the Figure 5 surface or Figure 6 grid as CSV",
+       concat({{{.name = "figure", .kind = kWord, .fallback = "5",
+                 .choices = {"5", "6"}, .help = "which figure"},
+                {.name = "quick", .help = "the coarse grid"},
+                {.name = "verbose", .help = "counter totals on stderr"},
+                workload::jobs_flag(), workload::shards_flag()},
+               seu_flags()}),
+       run_sweep},
+      {"conform", "the paper's claims, one row each; exit 1 if any fails",
+       tools::conform_flags(), tools::run_conform},
+      {"check", "bounded model check of the ALPU models against the spec",
+       concat({{{.name = "depth", .kind = kInt, .min = 1,
+                 .help = "operations per sequence; 6, or 7 with --flow"},
+                {.name = "cells", .kind = kInt, .fallback = "4", .min = 1,
+                 .help = "array cells"},
+                {.name = "block", .kind = kInt, .fallback = "2",
+                 .help = "cells per block, a power of two dividing --cells"},
+                {.name = "impl", .kind = kWord, .fallback = "all",
+                 .choices = {"array", "alpu", "pipelined", "all"},
+                 .help = "the implementation to check"},
+                {.name = "flavor", .kind = kWord, .fallback = "both",
+                 .choices = {"posted", "unexpected", "both"},
+                 .help = "the units to check"},
+                {.name = "faults",
+                 .help = "add bit corruption; parity must catch it"},
+                {.name = "flow",
+                 .help = "check the flow-control spec (4096 bytes, 2 slots)"},
+                {.name = "inject-compaction-bug",
+                 .help = "must-fail hook: a compaction off-by-one"},
+                silent_flip},
+               budget_flags()}),
+       run_check},
+      {"chaos", "fault soak: every message exactly once and in order",
+       concat({{workload::jobs_flag(), workload::shards_flag(),
+                {.name = "seeds", .kind = kInt, .fallback = "2", .min = 1,
+                 .help = "traffic plans per drop rate"},
+                {.name = "overload",
+                 .help = "incast; defaults 9 ranks, pool 32768, 16 slots, "
+                         "drops {0, 1e-2}"},
+                {.name = "inject-lookahead-violation",
+                 .help = "must-fail hook for the ALPU_AUDIT auditor"},
+                silent_flip},
+               chaos_workload_flags(
+                   "", "packet drop rate; unless given, each of 0, 1e-3, 1e-2"),
+               seu_flags(), reliability_flags(), budget_flags()}),
+       run_chaos},
+      {"audit", "shard-divergence triage (needs -DALPU_AUDIT=ON)",
+       concat({{{.name = "shards", .kind = kWord, .fallback = "1,2",
+                 .help = "the two shard counts to compare, A,B"},
+                {.name = "seed", .kind = kInt, .fallback = "1",
+                 .help = "traffic plan"}},
+               chaos_workload_flags("0", "packet drop rate")}),
+       run_audit},
+  };
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags_opt = common::Flags::parse(argc, argv);
-  if (!flags_opt.has_value() || flags_opt->positional().empty()) {
-    return usage();
+  const common::Flags tokens = *common::Flags::parse(argc, argv);
+  const std::vector<Command> all = commands();
+  const auto cmd = std::find_if(all.begin(), all.end(), [&](const Command& c) {
+    return !tokens.positional().empty() && tokens.positional()[0] == c.name;
+  });
+  if (cmd == all.end()) {
+    if (!tokens.positional().empty()) {
+      std::fprintf(stderr, "alpusim: unknown command '%s'\n",
+                   tokens.positional()[0].c_str());
+    }
+    std::fprintf(stderr, "usage: alpusim <command> [flags]\n");
+    for (const Command& c : all) {
+      std::fprintf(stderr, "  %-11s %s\n", c.name, c.summary);
+    }
+    return 2;
   }
-  const common::Flags& flags = *flags_opt;
-  const std::string scenario = flags.positional()[0];
-
-  if (scenario == "sweep") {
-    return run_sweep(flags);
+  common::FlagTable table{.command = std::string("alpusim ") + cmd->name,
+                          .summary = cmd->summary,
+                          .flags = cmd->flags,
+                          .positionals = 1};
+  table.flags.push_back({.name = "log", .kind = kWord,
+                         .choices = {"debug", "trace"},
+                         .help = "log at this level to stderr"});
+  const std::optional<Args> args = table.check(tokens);
+  if (!args) return 2;
+  if (args->given("log")) {
+    common::set_log_level(args->word("log") == "debug"
+                              ? common::LogLevel::kDebug
+                              : common::LogLevel::kTrace);
   }
-  if (scenario == "check") {
-    return run_check(flags);
-  }
-  if (scenario == "chaos") {
-    return run_chaos(flags);
-  }
-  if (scenario == "audit") {
-    return run_audit(flags);
-  }
-  if (scenario == "conform") {
-    return tools::run_conform(flags);
-  }
-
-  bool mode_ok = true;
-  const NicMode mode = mode_of(flags.get("mode", "baseline"), &mode_ok);
-  if (!mode_ok) {
-    std::fprintf(stderr, "unknown --mode\n");
-    return usage();
-  }
-  if (const char* why = bad_scenario_flag(scenario, flags)) {
-    return reject(scenario, why);
-  }
-
-  if (flags.get_bool("trace")) {
-    common::set_log_level(common::LogLevel::kTrace);
-  } else if (flags.get_bool("debug")) {
-    common::set_log_level(common::LogLevel::kDebug);
-  }
-
-  auto system = workload::make_system_config(mode);
-  if (flags.get("alpu-model", "transaction") == "pipelined") {
-    system.nic.alpu_model = nic::AlpuModelKind::kPipelined;
-  }
-  if (flags.has("threshold")) {
-    system.nic.alpu_policy.insert_threshold =
-        static_cast<std::size_t>(flags.get_int("threshold", 0));
-  }
-  if (flags.has("minbatch")) {
-    system.nic.alpu_policy.min_batch =
-        static_cast<std::size_t>(flags.get_int("minbatch", 1));
-  }
-  // Reliability / flow-control knobs apply to the latency scenarios too
-  // (e.g. measuring the cost of a tiny eager budget on a clean link).
-  if (apply_reliability_flags(flags, &system.nic.reliability)) {
-    system.nic.reliability.enabled = true;
-  }
-  if (flags.has("pool-bytes") || flags.has("slots")) {
-    system.nic.eager_pool_bytes =
-        static_cast<std::uint64_t>(flags.get_int("pool-bytes", 0));
-    system.nic.unexpected_slots =
-        static_cast<std::uint32_t>(flags.get_int("slots", 0));
-    system.nic.reliability.enabled = true;
-  }
-
-  const int shards = static_cast<int>(flags.get_int("shards", 1));
-
-  if (scenario == "preposted") {
-    workload::PrepostedParams p;
-    p.mode = mode;
-    p.system = system;
-    p.queue_length = static_cast<std::size_t>(flags.get_int("length", 0));
-    p.fraction_traversed = flags.get_double("fraction", 1.0);
-    p.message_bytes =
-        static_cast<std::uint32_t>(flags.get_int("bytes", 0));
-    p.iterations = static_cast<int>(flags.get_int("iterations", 1));
-    p.shards = shards;
-    print_result(workload::run_preposted(p));
-  } else if (scenario == "unexpected") {
-    workload::UnexpectedParams p;
-    p.mode = mode;
-    p.system = system;
-    p.queue_length = static_cast<std::size_t>(flags.get_int("length", 0));
-    p.message_bytes =
-        static_cast<std::uint32_t>(flags.get_int("bytes", 0));
-    p.shards = shards;
-    print_result(workload::run_unexpected(p));
-  } else if (scenario == "pingpong") {
-    const common::TimePs t = workload::run_pingpong(
-        mode, static_cast<std::uint32_t>(flags.get_int("bytes", 0)),
-        static_cast<int>(flags.get_int("iterations", 8)));
-    std::printf("half_rtt_ns=%.1f\n", common::to_ns(t));
-  } else if (scenario == "msgrate") {
-    workload::MessageRateParams p;
-    p.mode = mode;
-    p.system = system;
-    p.queue_length = static_cast<std::size_t>(flags.get_int("length", 0));
-    p.burst = static_cast<int>(flags.get_int("burst", 64));
-    p.message_bytes =
-        static_cast<std::uint32_t>(flags.get_int("bytes", 0));
-    p.shards = shards;
-    const common::TimePs gap = workload::run_message_rate(p);
-    std::printf("gap_ns=%.1f\n", common::to_ns(gap));
-    std::printf("mmsgs_per_s=%.3f\n", 1e3 / common::to_ns(gap));
-  } else if (scenario == "fpga") {
-    fpga::PrototypeParams p;
-    p.total_cells = static_cast<std::size_t>(flags.get_int("cells", 256));
-    p.block_size = static_cast<std::size_t>(flags.get_int("block", 16));
-    p.match_width =
-        static_cast<unsigned>(flags.get_int("width", 42));
-    p.flavor = flags.get("flavor", "posted") == "unexpected"
-                   ? hw::AlpuFlavor::kUnexpected
-                   : hw::AlpuFlavor::kPostedReceive;
-    const auto est = fpga::estimate(p);
-    std::printf("luts=%llu\nffs=%llu\nslices=%llu\n",
-                static_cast<unsigned long long>(est.luts),
-                static_cast<unsigned long long>(est.flip_flops),
-                static_cast<unsigned long long>(est.slices));
-    std::printf("clock_mhz=%.1f\nasic_mhz=%.0f\npipeline=%u\n",
-                est.clock_mhz, est.asic_clock_mhz, est.pipeline_latency);
-  } else {
-    return usage();
-  }
-
-  // --report reruns the scenario with the machine kept alive for a full
-  // component dump (latency scenarios only).
-  if (flags.get_bool("report") &&
-      (scenario == "preposted" || scenario == "unexpected")) {
-    // The scenario runners tear the machine down; run a fresh machine
-    // with equivalent traffic and dump it.
-    sim::Engine engine;
-    mpi::Machine machine(engine, system);
-    sim::ProcessPool pool(engine);
-    const auto length =
-        static_cast<std::size_t>(flags.get_int("length", 0));
-    pool.spawn([](mpi::Machine& m, std::size_t n) -> sim::Process {
-      for (std::size_t i = 0; i < n; ++i) {
-        (void)m.rank(0).irecv(1, 1000, 0);
-      }
-      mpi::Request ping = m.rank(0).irecv(1, 7, 4096);
-      co_await m.rank(0).send(1, 1, 0);
-      co_await m.rank(0).wait(ping);
-    }(machine, length));
-    pool.spawn([](mpi::Machine& m) -> sim::Process {
-      co_await m.rank(1).recv(0, 1, 0);
-      co_await m.rank(1).send(0, 7, 64);
-    }(machine));
-    engine.run();
-    workload::print_machine_report(machine);
-  }
-  return 0;
+  return cmd->run(*args);
 }

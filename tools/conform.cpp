@@ -44,10 +44,14 @@ std::string entries(std::size_t len) {
 
 }  // namespace
 
-int run_conform(const common::Flags& flags) {
+std::vector<common::FlagSpec> conform_flags() {
+  return {workload::jobs_flag(), workload::shards_flag()};
+}
+
+int run_conform(const common::Args& args) {
   workload::SweepOptions sweep;
-  sweep.jobs = static_cast<int>(flags.get_int("jobs", 0));
-  sweep.shards = static_cast<int>(flags.get_int("shards", 1));
+  sweep.jobs = static_cast<int>(args.integer("jobs"));
+  sweep.shards = static_cast<int>(args.integer("shards"));
 
   // Latencies in ns: Figure 5 by (mode, L, f), Figure 6 by (mode, U), and
   // the points off both grids.
