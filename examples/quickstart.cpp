@@ -75,7 +75,9 @@ int main() {
   (void)unit.push_command(
       {hw::CommandKind::kInsert, any_tag.bits, any_tag.mask, 0xCCC});
   (void)unit.push_command({hw::CommandKind::kStopInsert, 0, 0, 0});
-  engine.run_until(engine.now() + 20 * config.clock.period());
+  while (!unit.idle()) {  // the unit sleeps once the session is done
+    engine.run_until(engine.now() + config.clock.period());
+  }
   std::printf("  3 x INSERT + STOP INSERT    (array now holds %zu entries)\n\n",
               unit.array().occupancy());
 

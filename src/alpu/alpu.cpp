@@ -9,14 +9,13 @@ namespace alpu::hw {
 Alpu::Alpu(sim::Engine& engine, std::string name, const AlpuConfig& config)
     : sim::Component(engine, std::move(name)),
       config_(config),
-      array_(config.flavor, config.total_cells, config.block_size,
-             config.significant_mask),
-      clock_(engine, config.clock, [this] { return tick(); }),
       scrub_clock_(engine,
                    common::ClockPeriod(config.seu.scrub_interval_ps > 0
                                            ? config.seu.scrub_interval_ps
                                            : 1),
                    [this] { return scrub_tick(); }),
+      array_(config.flavor, config.total_cells, config.block_size,
+             config.significant_mask),
       header_fifo_(config.header_fifo_depth),
       command_fifo_(config.command_fifo_depth),
       result_fifo_(config.result_fifo_depth) {
@@ -30,8 +29,9 @@ Alpu::Alpu(sim::Engine& engine, std::string name, const AlpuConfig& config)
 }
 
 bool Alpu::push_probe(const Probe& probe) {
+  catch_up();
   if (!header_fifo_.try_push(probe)) return false;
-  clock_.wake();
+  wake();
   if (scrub_enabled_) {
     ++ops_since_scrub_;
     scrub_clock_.wake();
@@ -40,8 +40,9 @@ bool Alpu::push_probe(const Probe& probe) {
 }
 
 bool Alpu::push_command(const Command& cmd) {
+  catch_up();
   if (!command_fifo_.try_push(cmd)) return false;
-  clock_.wake();
+  wake();
   if (scrub_enabled_) {
     ++ops_since_scrub_;
     scrub_clock_.wake();
@@ -50,19 +51,67 @@ bool Alpu::push_command(const Command& cmd) {
 }
 
 std::optional<Response> Alpu::pop_result() {
+  catch_up();
   auto r = result_fifo_.try_pop();
   // Draining the result FIFO may unblock a stalled match.
-  if (r.has_value()) clock_.wake();
+  if (r.has_value()) wake();
   return r;
 }
 
-void Alpu::emit(const Response& r) {
+void Alpu::finish() {
+  ALPU_INVARIANT(idle(), "an ALPU edge outlasts the drained run");
+}
+
+void Alpu::wake() {
+  if (awake_) return;
+  awake_ = true;
+  const sim::Engine& eng = engine();
+  next_edge_ = config_.clock.next_edge(eng.now());
+  // Between runs, a clocked unit's tick at now would wait for the
+  // engine to run again.
+  wake_deferred_ = !eng.dispatching() && next_edge_ == eng.now();
+}
+
+void Alpu::catch_up() const {
+  if (!awake_) return;
+  const sim::Engine& eng = engine();
+  const common::TimePs now = eng.now();
+  // The tie rule (alpu.hpp): the edge at now counts only between runs.
+  const bool between_runs = !eng.dispatching();
+  while (awake_ && (next_edge_ < now || (next_edge_ == now && between_runs &&
+                                         !wake_deferred_))) {
+    wake_deferred_ = false;
+    const common::TimePs edge = next_edge_;
+    // Catch the SEU injector up before any work this edge does: flips
+    // land at deterministic tick boundaries regardless of sharding.
+    array_.seu_advance(edge);
+    if (op_ != Op::kNone) {
+      stats_.busy_cycles += op_cycles_;
+      complete_op();
+      // A completion may chain a follow-up (the decode of RESET MATCHING
+      // starts its sweep).  Otherwise the next op issues back to back on
+      // this edge, one op per `latency` cycles (Section V-D); if none
+      // can, the clocked unit still ticks the next edge once.
+      if (op_ == Op::kNone && !start_next_op()) {
+        next_edge_ = edge + config_.clock.period();
+        continue;
+      }
+    } else if (!start_next_op()) {
+      awake_ = false;  // an idle edge that starts nothing: sleep
+      continue;
+    }
+    next_edge_ = edge + config_.clock.cycles(op_cycles_);
+  }
+}
+
+void Alpu::emit(const Response& r) const {
   Response stamped = r;
-  stamped.issued_at = engine().now();
+  stamped.issued_at = next_edge_;  // the edge catch_up is processing
   result_fifo_.push(stamped);  // space guaranteed by start conditions
 }
 
 bool Alpu::scrub_tick() {
+  catch_up();
   array_.seu_advance(engine().now());
   const bool was_quarantined = array_.quarantined();
   const bool quarantined = array_.scrub();
@@ -81,28 +130,7 @@ bool Alpu::scrub_tick() {
   return true;
 }
 
-bool Alpu::tick() {
-  // Catch the SEU injector up before any work this edge does: flips
-  // land at deterministic tick boundaries regardless of sharding.
-  array_.seu_advance(engine().now());
-  if (busy_cycles_ > 0) {
-    ++stats_.busy_cycles;
-    --busy_cycles_;
-    if (busy_cycles_ > 0) return true;
-    complete_op();
-    // A completion may itself chain a follow-up operation (decode of
-    // RESET MATCHING starts its sweep); only look for new work if not.
-    if (busy_cycles_ > 0) return true;
-    // Back-to-back issue: the next operation starts on the same edge the
-    // previous one completes, so an op stream sustains exactly one op
-    // per `latency` cycles (matches every other cycle for inserts,
-    // Section V-D).
-    return start_next_op() || true;
-  }
-  return start_next_op();
-}
-
-bool Alpu::start_next_op() {
+bool Alpu::start_next_op() const {
   switch (state_) {
     case State::kMatch: {
       // The held probe (a retry forced out of insert mode) is the oldest
@@ -112,20 +140,20 @@ bool Alpu::start_next_op() {
         current_probe_ = *held_probe_;
         ++stats_.held_retries;
         op_ = Op::kMatchProbe;
-        busy_cycles_ = config_.match_latency_cycles;
+        op_cycles_ = config_.match_latency_cycles;
         return true;
       }
       if (!command_fifo_.empty() && !result_fifo_.full()) {
         state_ = State::kReadCommand;
         op_ = Op::kDecode;
-        busy_cycles_ = config_.command_decode_cycles;
+        op_cycles_ = config_.command_decode_cycles;
         return true;
       }
       if (!header_fifo_.empty() && !result_fifo_.full()) {
         current_probe_ = header_fifo_.pop();
         ++stats_.probes_accepted;
         op_ = Op::kMatchProbe;
-        busy_cycles_ = config_.match_latency_cycles;
+        op_cycles_ = config_.match_latency_cycles;
         return true;
       }
       return false;
@@ -139,7 +167,7 @@ bool Alpu::start_next_op() {
       }
       if (result_fifo_.full()) return false;  // START ACK needs a slot
       op_ = Op::kDecode;
-      busy_cycles_ = config_.command_decode_cycles;
+      op_cycles_ = config_.command_decode_cycles;
       return true;
     }
     case State::kInsertMode: {
@@ -147,11 +175,11 @@ bool Alpu::start_next_op() {
         if (command_fifo_.front().kind == CommandKind::kInsert) {
           current_command_ = command_fifo_.pop();
           op_ = Op::kInsert;
-          busy_cycles_ = config_.insert_interval_cycles;
+          op_cycles_ = config_.insert_interval_cycles;
           return true;
         }
         op_ = Op::kDecode;
-        busy_cycles_ = config_.command_decode_cycles;
+        op_cycles_ = config_.command_decode_cycles;
         return true;
       }
       if (retry_pending_ && held_probe_.has_value() && !result_fifo_.full()) {
@@ -159,7 +187,7 @@ bool Alpu::start_next_op() {
         retry_pending_ = false;
         ++stats_.held_retries;
         op_ = Op::kMatchProbe;
-        busy_cycles_ = config_.match_latency_cycles;
+        op_cycles_ = config_.match_latency_cycles;
         return true;
       }
       if (held_probe_.has_value()) {
@@ -171,7 +199,7 @@ bool Alpu::start_next_op() {
         current_probe_ = header_fifo_.pop();
         ++stats_.probes_accepted;
         op_ = Op::kMatchProbe;
-        busy_cycles_ = config_.match_latency_cycles;
+        op_cycles_ = config_.match_latency_cycles;
         return true;
       }
       return false;
@@ -180,7 +208,7 @@ bool Alpu::start_next_op() {
   return false;
 }
 
-void Alpu::complete_op() {
+void Alpu::complete_op() const {
   const Op op = op_;
   op_ = Op::kNone;
   switch (op) {
@@ -224,7 +252,7 @@ void Alpu::complete_op() {
   }
 }
 
-void Alpu::complete_decode() {
+void Alpu::complete_decode() const {
   if (command_fifo_.empty()) {
     // The command vanished?  Cannot happen: commands are only consumed by
     // decode/insert ops.
@@ -262,14 +290,14 @@ void Alpu::complete_decode() {
                     "held probes are retired before commands are read");
         current_command_ = cmd;
         op_ = Op::kFlush;
-        busy_cycles_ = static_cast<unsigned>(
+        op_cycles_ = static_cast<unsigned>(
             std::max<std::size_t>(1, array_.capacity() / array_.block_size()));
         state_ = State::kMatch;
         return;  // flush op now occupies the pipeline
       default:
         // Section III-C: other commands are discarded in Read Command.
         ++stats_.commands_discarded;
-        break;  // stay in kReadCommand; next tick decodes the next command
+        break;  // stay in kReadCommand; the next edge decodes the next command
     }
     return;
   }
@@ -295,7 +323,7 @@ void Alpu::complete_decode() {
   }
 }
 
-void Alpu::complete_match() {
+void Alpu::complete_match() const {
   const bool was_held = held_probe_.has_value() &&
                         held_probe_->seq == current_probe_.seq;
   ArrayMatch m{};

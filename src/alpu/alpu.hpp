@@ -1,4 +1,5 @@
-// Cycle-level model of the Associative List Processing Unit (Section III).
+// Transaction-level model of the Associative List Processing Unit
+// (Section III).
 //
 // The unit couples the functional match array (AlpuArray) with the
 // paper's timing and protocol behaviour:
@@ -19,8 +20,23 @@
 //     START ACKNOWLEDGE and STOP INSERT, closing the race on in-flight
 //     headers that would otherwise miss entries being inserted.
 //
-// The model sleeps (stops consuming engine events) whenever it has no
-// work, and producers wake it — cycle accuracy without per-cycle cost.
+// The unit schedules no engine events.  Its pipeline has fixed latencies
+// and no overlap, so it is computed lazily: every public call first
+// brings the unit up to now, jumping from an operation's start edge
+// straight to its finish edge (start + latency x period).  It keeps the
+// edges a clocked unit would tick — each completion, one idle edge after
+// a completion that starts nothing, the first edge after a wake — so
+// every response carries the same timestamp the clocked unit gave it.
+//
+// The tie rule for an edge at exactly now:
+//   * inside an event at time t (Engine::dispatching()), a call sees
+//     every edge before t, and the edge at t happens after the call —
+//     the clocked unit's tick at t was scheduled one period earlier,
+//     after every NIC event due at t;
+//   * between engine runs, a call sees every edge at or before t —
+//     run_until(t) has already fired everything at t — except the first
+//     edge of a wake made between runs at t, which waits until time
+//     moves on, as a tick scheduled then would wait for the next run.
 #pragma once
 
 #include <cstdint>
@@ -110,31 +126,61 @@ class Alpu : public sim::Component, public AlpuDevice {
   /// Take the oldest response, if any.
   std::optional<Response> pop_result() override;
 
-  bool result_available() const override { return !result_fifo_.empty(); }
+  bool result_available() const override {
+    catch_up();
+    return !result_fifo_.empty();
+  }
   void set_alloc_sink(common::AllocSink sink) override {
     header_fifo_.set_alloc_sink(sink);
     command_fifo_.set_alloc_sink(sink);
     result_fifo_.set_alloc_sink(sink);
   }
-  std::size_t header_fifo_free() const { return header_fifo_.free_slots(); }
-  std::size_t command_fifo_free() const { return command_fifo_.free_slots(); }
 
   // ---- introspection ----
 
   const AlpuConfig& config() const { return config_; }
-  const AlpuArray& array() const { return array_; }
-  const AlpuStats& stats() const { return stats_; }
+  const AlpuArray& array() const {
+    catch_up();
+    return array_;
+  }
+  const AlpuStats& stats() const {
+    catch_up();
+    return stats_;
+  }
   std::size_t capacity() const override { return array_.capacity(); }
-  std::size_t occupancy() const override { return array_.occupancy(); }
+  std::size_t occupancy() const override {
+    catch_up();
+    return array_.occupancy();
+  }
 
   /// Externally visible mode (for tests): true while in insert mode.
-  bool in_insert_mode() const { return state_ == State::kInsertMode; }
+  bool in_insert_mode() const {
+    catch_up();
+    return state_ == State::kInsertMode;
+  }
+
+  /// True while the unit sleeps: nothing changes until the next push or
+  /// pop.  Standalone drivers step time until it holds.
+  bool idle() const {
+    catch_up();
+    return !awake_;
+  }
+
+  /// End of a drained run: the unit must be asleep by the final time
+  /// (ALPU_CHECKED), or the clocked unit would have ticked past it.
+  void finish() override;
 
   // ---- transient-fault model ----
 
   /// True while the array is quarantined by a latched parity fault.
-  bool fault_pending() const override { return array_.quarantined(); }
-  SeuStats seu_stats() const override { return array_.seu_stats(); }
+  bool fault_pending() const override {
+    catch_up();
+    return array_.quarantined();
+  }
+  SeuStats seu_stats() const override {
+    catch_up();
+    return array_.seu_stats();
+  }
   /// Invoked when a background scrub (not a probe) latches a fault, so
   /// the NIC firmware learns about dormant corruption without traffic.
   // lint: ok(std-function-hot-path) — installed once at NIC setup;
@@ -145,6 +191,7 @@ class Alpu : public sim::Component, public AlpuDevice {
   /// Direct corruption for the checker's kCorrupt op and the fuzzers
   /// (see AlpuArray::corrupt_for_test).
   void corrupt_for_test(unsigned plane, std::size_t cell, unsigned bit) {
+    catch_up();
     array_.corrupt_for_test(plane, cell, bit);
   }
 
@@ -164,17 +211,19 @@ class Alpu : public sim::Component, public AlpuDevice {
     kFlush,  ///< RESET MATCHING sweep (multi-process extension)
   };
 
-  bool tick();
-  bool start_next_op();
-  void complete_op();
-  void complete_decode();
-  void complete_match();
-  void emit(const Response& r);
+  /// Process every edge the tie rule (above) says has happened by now.
+  void catch_up() const;
+  /// Start ticking at the next edge >= now, if asleep.
+  void wake();
+  // The edge logic: each runs inside catch_up, at edge next_edge_.
+  bool start_next_op() const;
+  void complete_op() const;
+  void complete_decode() const;
+  void complete_match() const;
+  void emit(const Response& r) const;
   bool scrub_tick();
 
   AlpuConfig config_;
-  AlpuArray array_;
-  sim::Clock clock_;
   /// Background parity scrub (constructed always, woken only when
   /// enabled).  Parks after `scrub_idle_limit` sweeps with no unit
   /// activity so an idle unit lets the event heap drain.
@@ -184,20 +233,33 @@ class Alpu : public sim::Component, public AlpuDevice {
   std::uint64_t ops_since_scrub_ = 0;
   std::function<void()> on_fault_;  // lint: ok(std-function-hot-path) — fires once per fault episode
 
-  common::BoundedFifo<Probe> header_fifo_;
-  common::BoundedFifo<Command> command_fifo_;
-  common::BoundedFifo<Response> result_fifo_;
+  // Everything the edges change.  mutable: the const readers catch the
+  // unit up before they read, which only computes now what a clocked
+  // unit would already have done.
+  mutable AlpuArray array_;
+  mutable common::BoundedFifo<Probe> header_fifo_;
+  mutable common::BoundedFifo<Command> command_fifo_;
+  mutable common::BoundedFifo<Response> result_fifo_;
 
-  State state_ = State::kMatch;
-  Op op_ = Op::kNone;
-  unsigned busy_cycles_ = 0;
+  mutable bool awake_ = false;
+  /// While awake: the edge the clocked unit would tick next — the finish
+  /// edge of the operation in flight, or an edge that may start one.
+  mutable common::TimePs next_edge_ = 0;
+  /// next_edge_ was set by a wake between runs at that very time.
+  mutable bool wake_deferred_ = false;
 
-  Probe current_probe_{};
-  Command current_command_{};
-  std::optional<Probe> held_probe_;  ///< failed match held during insert mode
-  bool retry_pending_ = false;  ///< held probe should re-match (post-insert)
+  mutable State state_ = State::kMatch;
+  mutable Op op_ = Op::kNone;
+  mutable unsigned op_cycles_ = 0;  ///< latency of the operation in flight
 
-  AlpuStats stats_;
+  mutable Probe current_probe_{};
+  mutable Command current_command_{};
+  /// Failed match held during insert mode.
+  mutable std::optional<Probe> held_probe_;
+  /// The held probe should re-match (post-insert).
+  mutable bool retry_pending_ = false;
+
+  mutable AlpuStats stats_;
 };
 
 }  // namespace alpu::hw

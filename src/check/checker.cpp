@@ -355,9 +355,11 @@ hw::PipelinedAlpuConfig make_device_config(AlpuFlavor flavor,
 }
 
 /// Replay `seq` against a fresh device at run-to-quiescence
-/// granularity: push one op, drain the simulation, and require the
+/// granularity: push one op, let the device go quiet, and require the
 /// response stream, the occupancy, and the logical cell order to equal
-/// the protocol spec's after every step.
+/// the protocol spec's after every step.  The clocked PipelinedAlpu goes
+/// quiet when the engine drains; hw::Alpu schedules no events, so time
+/// is stepped until it sleeps.
 template <typename Device>
 std::optional<std::string> replay_protocol(AlpuFlavor flavor,
                                            const CheckOptions& opt,
@@ -422,7 +424,13 @@ std::optional<std::string> replay_protocol(AlpuFlavor flavor,
     // would itself be a protocol bug worth failing on.
     ALPU_ASSERT(pushed, "device FIFO refused an op within bounded depth");
 
-    engine.run();
+    if constexpr (std::is_same_v<Device, hw::Alpu>) {
+      while (!dev.idle()) {
+        engine.run_until(engine.now() + dev.config().clock.period());
+      }
+    } else {
+      engine.run();
+    }
 
     std::vector<SpecResponse> got;
     while (std::optional<hw::Response> r = dev.pop_result()) {

@@ -24,6 +24,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -191,11 +192,18 @@ class Args {
     return it != tokens_.values_.end() && it->second == "true";
   }
 
-  std::int64_t integer(std::string_view name) const {
+  /// The integer flag `name` as a T.  The table must bound the flag to
+  /// T's range; one that forgets fails this assertion on the first value
+  /// outside it, instead of wrapping.
+  template <typename T = std::int64_t>
+  T integer(std::string_view name) const {
     std::int64_t v = 0;
     const std::string& text = value(name, FlagKind::kInt);
     std::from_chars(text.data(), text.data() + text.size(), v);
-    return v;
+    ALPU_ASSERT(std::in_range<T>(v),
+                ("--" + std::string(name) + " is outside its field's range")
+                    .c_str());
+    return static_cast<T>(v);
   }
 
   double real(std::string_view name) const {
@@ -219,13 +227,21 @@ class Args {
   }
 
   /// If the integer or real flag `name` was given, store its value times
-  /// `scale` in `*out` and return true; otherwise leave `*out` alone.
+  /// `scale` in `*out` and return true; otherwise leave `*out` alone.  An
+  /// integer must fit T after scaling, as integer<T>() asserts.
   template <typename T>
   bool set(std::string_view name, T* out,
            std::type_identity_t<T> scale = 1) const {
     if (!given(name)) return false;
     if (spec(name).kind == FlagKind::kReal) {
       *out = static_cast<T>(real(name)) * scale;
+      return true;
+    }
+    if constexpr (std::is_integral_v<T>) {
+      const T v = integer<T>(name);
+      ALPU_ASSERT(v <= std::numeric_limits<T>::max() / scale,
+                  ("--" + std::string(name) + " overflows its field").c_str());
+      *out = v * scale;
     } else {
       *out = static_cast<T>(integer(name)) * scale;
     }
@@ -272,7 +288,10 @@ class Args {
 inline std::string FlagTable::range_text(const FlagSpec& f) {
   const auto num = [](double x) {
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", x);
+    // Whole bounds in full (a field's 4294967295, not 4.29497e+09).
+    std::snprintf(buf, sizeof(buf),
+                  x == std::floor(x) && std::fabs(x) < 1e15 ? "%.0f" : "%g",
+                  x);
     return std::string(buf);
   };
   if (std::isinf(f.min) && std::isinf(f.max)) return "";

@@ -77,12 +77,11 @@ void Engine::heap_pop() {
   ALPU_INVARIANT(heap_ordered(), "heap_pop broke the event-heap order");
 }
 
-EventId Engine::schedule_at(TimePs when, EventCallback fn) {
+EventId Engine::enqueue(TimePs when) {
   ALPU_ASSERT(when >= now_, "cannot schedule into the past");
   ALPU_ASSERT(next_seq_ < kMaxSeq, "sequence space exhausted");
   const std::uint32_t index = acquire_slot();
   Slot& s = slot(index);
-  s.fn = std::move(fn);
 #if ALPU_AUDIT
   s.stamp = audit_ != nullptr ? audit_->make_stamp(now_) : check::EventStamp{};
 #endif
@@ -91,6 +90,23 @@ EventId Engine::schedule_at(TimePs when, EventCallback fn) {
   heap_push(QueueItem{when, id});
   ++live_events_;
   return id;
+}
+
+void Engine::dispatch_top(const QueueItem& top, Slot& s) {
+  heap_pop();
+  // Clear the key before the call, so the callback cancelling its own
+  // id is a no-op, and release the slot only after it: until then no
+  // schedule can reuse it, and blocks never move, so `s` stays valid
+  // however much the callback grows the pool.
+  s.key = 0;
+  --live_events_;
+  now_ = top.when;
+  ++events_executed_;
+#if ALPU_AUDIT
+  if (audit_ != nullptr) audit_->on_execute(top.when, s.stamp);
+#endif
+  s.fn.invoke_once();
+  release_slot(static_cast<std::uint32_t>(top.id & kSlotMask));
 }
 
 void Engine::cancel(EventId id) {
@@ -139,6 +155,7 @@ TimePs Engine::next_event_time() {
 
 TimePs Engine::run_window(TimePs end) {
   init_components();
+  dispatching_ = true;
   while (!heap_.empty()) {
     const QueueItem top = heap_.front();
     const std::uint32_t index = static_cast<std::uint32_t>(top.id & kSlotMask);
@@ -151,26 +168,16 @@ TimePs Engine::run_window(TimePs end) {
     // (the coordinator sized this window so no cross-shard influence can
     // land before `end`, not at it).
     if (top.when >= end) break;
-    heap_pop();
-#if ALPU_AUDIT
-    const check::EventStamp stamp = s.stamp;  // copy out before slot reuse
-#endif
-    EventCallback fn = std::move(s.fn);
-    release_slot(index);
-    --live_events_;
-    now_ = top.when;
-    ++events_executed_;
-#if ALPU_AUDIT
-    if (audit_ != nullptr) audit_->on_execute(top.when, stamp);
-#endif
-    fn();
+    dispatch_top(top, s);
   }
+  dispatching_ = false;
   return now_;
 }
 
 TimePs Engine::run_until(TimePs deadline) {
   init_components();
   stop_requested_ = false;
+  dispatching_ = true;
   while (!heap_.empty() && !stop_requested_) {
     const QueueItem top = heap_.front();  // trivially-copyable, cheap
     const std::uint32_t index = static_cast<std::uint32_t>(top.id & kSlotMask);
@@ -180,24 +187,15 @@ TimePs Engine::run_until(TimePs deadline) {
       continue;
     }
     if (top.when > deadline) break;
-    heap_pop();
-#if ALPU_AUDIT
-    const check::EventStamp stamp = s.stamp;  // copy out before slot reuse
-#endif
-    // Move the callback out and release the slot before invoking: the
-    // callback may schedule new events (growing or reusing the pool) or
-    // cancel its own id, both of which must see a consistent pool.
-    EventCallback fn = std::move(s.fn);
-    release_slot(index);
-    --live_events_;
-    now_ = top.when;
-    ++events_executed_;
-#if ALPU_AUDIT
-    if (audit_ != nullptr) audit_->on_execute(top.when, stamp);
-#endif
-    fn();
+    dispatch_top(top, s);
   }
-  if (heap_.empty() && deadline == common::kTimeNever) {
+  dispatching_ = false;
+  if (deadline != common::kTimeNever) {
+    // Time reaches the deadline even with nothing queued at it.
+    if (!stop_requested_ && deadline > now_) now_ = deadline;
+    return now_;
+  }
+  if (heap_.empty()) {
     // Quiescent with no deadline: the run is over.  Let an installed
     // watchdog inspect for undrained protocol work before the finish
     // hooks flush stats (the components are still fully intact here).

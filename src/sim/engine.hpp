@@ -16,6 +16,12 @@
 //    the steady state allocates nothing per event; anything larger falls
 //    back to the heap and stays correct.
 //
+//  * One move per event: schedule_at constructs a lambda directly in its
+//    pool slot, and the run loop invokes and destroys it there with one
+//    indirect call.  Slot blocks never move, so a callback that grows
+//    the pool cannot move its own slot; the slot is released only after
+//    the callback returns.
+//
 //  * Pending events live in a slot pool indexed by the low bits of the
 //    EventId; the high bits carry the slot's generation.  Cancellation
 //    validates the generation and releases the slot in O(1) — no hash
@@ -82,9 +88,29 @@ class EventCallback {
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
-  void operator()() {
+  /// Invoke the held callable once and destroy it, leaving this empty:
+  /// the engine's dispatch, one indirect call per event.  The callable
+  /// is destroyed even if it throws.
+  void invoke_once() {
     ALPU_DEBUG_ASSERT(ops_ != nullptr, "invoking an empty EventCallback");
-    ops_->invoke(&storage_);
+    const Ops* ops = ops_;
+    ops_ = nullptr;
+    ops->invoke_once(&storage_);
+  }
+
+  /// Construct `f` in place in an empty callback.
+  template <typename F0>
+  void emplace(F0&& f) {
+    ALPU_DEBUG_ASSERT(ops_ == nullptr, "emplacing into a full EventCallback");
+    using F = std::decay_t<F0>;
+    if constexpr (fits_inline_v<F>) {
+      ::new (static_cast<void*>(&storage_)) F(std::forward<F0>(f));
+      ops_ = &InlineOps<F>::ops;
+    } else {
+      // lint: ok(raw-new-delete) — the spill path; see HeapOps.
+      ::new (static_cast<void*>(&storage_)) (F*)(new F(std::forward<F0>(f)));
+      ops_ = &HeapOps<F>::ops;
+    }
   }
 
   /// Destroy the held callable (releases captured resources eagerly —
@@ -98,7 +124,7 @@ class EventCallback {
 
  private:
   struct Ops {
-    void (*invoke)(void* storage);
+    void (*invoke_once)(void* storage);      // invoke, then destroy
     void (*relocate)(void* dst, void* src);  // move-construct dst, destroy src
     void (*destroy)(void* storage);
   };
@@ -108,23 +134,37 @@ class EventCallback {
       sizeof(F) <= kInlineBytes && alignof(F) <= alignof(std::max_align_t) &&
       std::is_nothrow_move_constructible_v<F>;
 
+  /// Destroys the callable on scope exit, so invoke_once destroys it
+  /// even when it throws.
+  template <void (*Destroy)(void*)>
+  struct DestroyOnExit {
+    void* storage;
+    ~DestroyOnExit() { Destroy(storage); }
+  };
+
   template <typename F>
   struct InlineOps {
     static F* get(void* s) { return std::launder(reinterpret_cast<F*>(s)); }
-    static void invoke(void* s) { (*get(s))(); }
+    static void invoke_once(void* s) {
+      const DestroyOnExit<&destroy> guard{s};
+      (*get(s))();
+    }
     static void relocate(void* dst, void* src) {
       F* from = get(src);
       ::new (dst) F(std::move(*from));
       from->~F();
     }
     static void destroy(void* s) { get(s)->~F(); }
-    static constexpr Ops ops{&invoke, &relocate, &destroy};
+    static constexpr Ops ops{&invoke_once, &relocate, &destroy};
   };
 
   template <typename F>
   struct HeapOps {
     static F* get(void* s) { return *std::launder(reinterpret_cast<F**>(s)); }
-    static void invoke(void* s) { (*get(s))(); }
+    static void invoke_once(void* s) {
+      const DestroyOnExit<&destroy> guard{s};
+      (*get(s))();
+    }
     static void relocate(void* dst, void* src) {
       ::new (dst) (F*)(get(src));  // the pointer moves; the object stays put
     }
@@ -132,21 +172,8 @@ class EventCallback {
     // path for oversized captures; everything under kInlineBytes stays
     // in the SBO and never reaches it.
     static void destroy(void* s) { delete get(s); }
-    static constexpr Ops ops{&invoke, &relocate, &destroy};
+    static constexpr Ops ops{&invoke_once, &relocate, &destroy};
   };
-
-  template <typename F0>
-  void emplace(F0&& f) {
-    using F = std::decay_t<F0>;
-    if constexpr (fits_inline_v<F>) {
-      ::new (static_cast<void*>(&storage_)) F(std::forward<F0>(f));
-      ops_ = &InlineOps<F>::ops;
-    } else {
-      // lint: ok(raw-new-delete) — the spill path; see HeapOps.
-      ::new (static_cast<void*>(&storage_)) (F*)(new F(std::forward<F0>(f)));
-      ops_ = &HeapOps<F>::ops;
-    }
-  }
 
   void move_from(EventCallback& other) noexcept {
     ops_ = other.ops_;
@@ -199,12 +226,28 @@ class Engine {
   /// Current simulated time.  Only meaningful inside callbacks or after run.
   TimePs now() const { return now_; }
 
-  /// Schedule `fn` to run at absolute time `when` (>= now).
-  EventId schedule_at(TimePs when, EventCallback fn);
+  /// Schedule `fn` to run at absolute time `when` (>= now).  A lambda is
+  /// constructed directly in its pool slot; an EventCallback (the
+  /// sharded engine's cross-shard outboxes) is moved in.
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::decay_t<F>, EventCallback>>>
+  EventId schedule_at(TimePs when, F&& fn) {
+    const EventId id = enqueue(when);
+    slot(static_cast<std::uint32_t>(id & kSlotMask))
+        .fn.emplace(std::forward<F>(fn));
+    return id;
+  }
+  EventId schedule_at(TimePs when, EventCallback fn) {
+    const EventId id = enqueue(when);
+    slot(static_cast<std::uint32_t>(id & kSlotMask)).fn = std::move(fn);
+    return id;
+  }
 
   /// Schedule `fn` to run `delay` after now.
-  EventId schedule_in(TimePs delay, EventCallback fn) {
-    return schedule_at(now_ + delay, std::move(fn));
+  template <typename F>
+  EventId schedule_in(TimePs delay, F&& fn) {
+    return schedule_at(now_ + delay, std::forward<F>(fn));
   }
 
   /// Cancel a pending event in O(1).  Cancelling an already-fired,
@@ -217,7 +260,10 @@ class Engine {
   TimePs run();
 
   /// Run until simulated time would exceed `deadline`; events at exactly
-  /// `deadline` still fire.
+  /// `deadline` still fire.  Unless stop() ended the run early, a finite
+  /// deadline leaves now() == deadline, so time passes for components
+  /// that compute their state lazily (hw::Alpu) even with no events
+  /// queued.  run() leaves now() at the last event.
   TimePs run_until(TimePs deadline);
 
   /// Conservative-window run: fire every event strictly before `end`,
@@ -239,6 +285,11 @@ class Engine {
 
   /// Request that run() return after the current event completes.
   void stop() { stop_requested_ = true; }
+
+  /// True while an event's callback runs.  Lazily timed components use
+  /// it for their tie rule: inside an event at time t, work due at t
+  /// has not happened yet; between runs, it has.
+  bool dispatching() const { return dispatching_; }
 
   /// Install a stall watchdog (sim/watchdog.hpp), polled once when
   /// run() reaches quiescence (empty heap, no deadline) just before the
@@ -322,6 +373,12 @@ class Engine {
   Slot& slot(std::uint32_t index) {
     return blocks_[index >> kBlockBits][index & kBlockMask];
   }
+  /// Claim a slot and queue its id at `when`; the caller fills the
+  /// slot's callback.
+  EventId enqueue(TimePs when);
+  /// Fire the live event at the heap top in place: the callback runs in
+  /// its slot, which is released only after it returns.
+  void dispatch_top(const QueueItem& top, Slot& s);
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index) {
     Slot& s = slot(index);
@@ -353,6 +410,7 @@ class Engine {
   std::vector<Component*> components_;
   bool components_initialized_ = false;
   bool stop_requested_ = false;
+  bool dispatching_ = false;
   StallWatchdog* watchdog_ = nullptr;
   std::uint64_t events_executed_ = 0;
 #if ALPU_AUDIT

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -21,12 +22,13 @@ int resolve_jobs(int jobs) {
 
 common::FlagSpec jobs_flag() {
   return {.name = "jobs", .kind = common::FlagKind::kInt, .fallback = "0",
-          .min = 0, .help = "sweep worker threads, 0 for one per core"};
+          .min = 0, .max = std::numeric_limits<int>::max(),
+          .help = "sweep worker threads, 0 for one per core"};
 }
 
 common::FlagSpec shards_flag() {
   return {.name = "shards", .kind = common::FlagKind::kInt, .fallback = "1",
-          .min = 1,
+          .min = 1, .max = std::numeric_limits<int>::max(),
           .help = "engine shards per simulation; every count prints the same"};
 }
 

@@ -124,7 +124,9 @@ elseif(GROUP STREQUAL "alpusim_rejects_bad_flags")
   # vacuous PASS print a reason and the usage text; so do misspelled
   # names, flags the command does not read, malformed numbers and words
   # outside their choices, which would otherwise run a configuration
-  # nobody asked for.
+  # nobody asked for, and values outside the field a flag fills, which
+  # would otherwise wrap (4294967296 bytes ran as 0, a slot budget or
+  # retry limit of -1 as 4294967295, a threshold of -1 as never).
   foreach(flags "chaos;--seeds;0" "chaos;--per-pair;0" "chaos;--ranks;1"
       "chaos;--ranks;0" "chaos;--drop;-0.1" "chaos;--drop;1.5"
       "preposted;--length;-5" "unexpected;--length;-1" "msgrate;--burst;0"
@@ -139,7 +141,10 @@ elseif(GROUP STREQUAL "alpusim_rejects_bad_flags")
       "preposted;--fraction;0.5x" "chaos;--seeds;1;--drop;0.5x"
       "chaos;--seeds;1;--drop=five" "fpga;--flavor;unexpectd"
       "preposted;--alpu-model;pipelind" "sweep;--figure;5;--quick;--shards;0"
-      "sweep;--figure;5;--quick;--jobs;-3")
+      "sweep;--figure;5;--quick;--jobs;-3"
+      "preposted;--length;1;--bytes;4294967296" "chaos;--seeds;1;--slots;-1"
+      "chaos;--seeds;1;--rel-max-retries;-1"
+      "preposted;--mode;alpu256;--length;5;--threshold;-1")
     run(${ALPUSIM} "" 2 ${flags})
   endforeach()
 elseif(GROUP STREQUAL "bench_rejects_bad_flags")

@@ -99,12 +99,13 @@ class MultiUnitTest : public ::testing::Test {
     multi = std::make_unique<MultiProcessAlpu>(engine, "dut", cfg);
   }
 
-  /// Steps event by event, so a unit that sleeps fails at the deadline.
+  /// Steps one cycle at a time while the unit is awake, so a unit that
+  /// sleeps without a result fails at once.
   Response next_result(common::TimePs budget = 1'000'000) {
     const common::TimePs deadline = engine.now() + budget;
-    while (!multi->unit().result_available() &&
-           engine.next_event_time() <= deadline) {
-      engine.run_until(engine.next_event_time());
+    while (!multi->unit().result_available() && !multi->unit().idle() &&
+           engine.now() < deadline) {
+      engine.run_until(engine.now() + kCycle);
     }
     EXPECT_TRUE(multi->unit().result_available()) << "no result within budget";
     return multi->pop_result().value_or(Response{});

@@ -37,12 +37,13 @@ class AlpuUnitTest : public ::testing::Test {
   }
 
   /// Run the simulation forward until a result is available (or fail).
-  /// Steps event by event, so a unit that sleeps fails at the deadline.
+  /// Steps one cycle at a time while the unit is awake, so a unit that
+  /// sleeps without a result fails at once.
   Response next_result(TimePs budget = 1'000'000) {
     const TimePs deadline = engine.now() + budget;
-    while (!unit->result_available() &&
-           engine.next_event_time() <= deadline) {
-      engine.run_until(engine.next_event_time());
+    while (!unit->result_available() && !unit->idle() &&
+           engine.now() < deadline) {
+      engine.run_until(engine.now() + kCycle);
     }
     EXPECT_TRUE(unit->result_available()) << "no result within budget";
     return unit->pop_result().value_or(Response{});
@@ -365,6 +366,52 @@ TEST_F(AlpuUnitTest, ResultsAreInProbeOrder) {
   EXPECT_EQ(b.kind, ResponseKind::kMatchFailure);
   EXPECT_EQ(c.probe_seq, 12u);
   EXPECT_EQ(c.cookie, 1u);
+}
+
+// ---- the tie rule (alpu.hpp) -----------------------------------------------
+
+TEST_F(AlpuUnitTest, CommandPushedInAnEventAtAFinishEdgeDecodesOnIt) {
+  make();
+  // The match starts on edge 0 and finishes on edge E.
+  ASSERT_TRUE(unit->push_probe(probe_of(0, 0, 0, 1)));
+  const TimePs finish = 7 * kCycle;
+  // Scheduled long before E, this event fires at E ahead of the clocked
+  // unit's tick there, so that tick completes the match and decodes
+  // START INSERT on E itself: the ACK is one decode cycle later.
+  engine.schedule_at(finish, [this] {
+    ASSERT_TRUE(unit->push_command({CommandKind::kStartInsert, 0, 0, 0}));
+  });
+  engine.run_until(finish + 10 * kCycle);
+  const std::optional<Response> miss = unit->pop_result();
+  const std::optional<Response> ack = unit->pop_result();
+  ASSERT_TRUE(miss.has_value());
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(miss->kind, ResponseKind::kMatchFailure);
+  EXPECT_EQ(miss->issued_at, finish);
+  EXPECT_EQ(ack->kind, ResponseKind::kStartAck);
+  EXPECT_EQ(ack->issued_at, finish + kCycle);
+}
+
+TEST_F(AlpuUnitTest, BetweenRunsAResultDueNowIsVisible) {
+  make();
+  ASSERT_TRUE(unit->push_probe(probe_of(0, 0, 0, 1)));
+  const TimePs finish = 7 * kCycle;
+  engine.run_until(finish - 1);
+  EXPECT_FALSE(unit->result_available());
+  engine.run_until(finish);
+  ASSERT_TRUE(unit->result_available());
+  EXPECT_EQ(unit->pop_result()->issued_at, finish);
+}
+
+TEST_F(AlpuUnitTest, PostsNoEngineEvents) {
+  make();
+  insert_all({{make_recv_pattern(0, 1, 7), 77}});
+  ASSERT_TRUE(unit->push_probe(probe_of(0, 1, 7, 1)));
+  ASSERT_TRUE(unit->push_probe(probe_of(0, 1, 8, 2)));
+  EXPECT_EQ(next_result().kind, ResponseKind::kMatchSuccess);
+  EXPECT_EQ(next_result().kind, ResponseKind::kMatchFailure);
+  EXPECT_EQ(engine.pending_events(), 0u);
+  EXPECT_EQ(engine.events_executed(), 0u);
 }
 
 TEST_F(AlpuUnitTest, SleepsWhenIdle) {

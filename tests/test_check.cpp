@@ -212,7 +212,7 @@ TEST(ProtocolSpec, ProbeRejectionComposesWithHeldFailureRetry) {
       }
       EXPECT_TRUE(ok) << to_string(op);
     }
-    engine.run();
+    while (!unit.idle()) engine.run_until(engine.now() + cfg.clock.period());
     std::vector<SpecResponse> got;
     while (std::optional<hw::Response> r = unit.pop_result()) {
       got.push_back(

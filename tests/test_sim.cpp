@@ -221,6 +221,59 @@ TEST(Engine, EventsMayScheduleMoreEvents) {
   EXPECT_EQ(depth, 100);
 }
 
+TEST(Engine, CallbackCancellingItsOwnIdIsNoop) {
+  // The callback runs in its slot: cancelling its own id from inside must
+  // neither destroy the running callable nor free the slot under it.
+  Engine e;
+  const std::vector<int> payload(32, 3);
+  EventId self = 0;
+  int sum = 0;
+  std::vector<int> order;
+  self = e.schedule_at(10, [&, payload] {
+    e.cancel(self);
+    for (int v : payload) sum += v;  // the captures are still alive
+    e.schedule_in(1, [&] { order.push_back(2); });
+    e.schedule_in(1, [&] { order.push_back(3); });
+  });
+  e.schedule_at(10, [&] { order.push_back(1); });
+  e.run();
+  EXPECT_EQ(sum, 96);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(e.events_executed(), 4u);
+  EXPECT_EQ(e.pending_events(), 0u);
+}
+
+TEST(Engine, CallbackGrowingThePoolPastABlockKeepsItsSlot) {
+  // Slots come in blocks of 512.  A callback that schedules past a block
+  // boundary grows the pool while its own slot is live: it must go on
+  // running in place, with its captures intact.
+  Engine e;
+  const std::vector<int> payload(64, 7);
+  int sum = 0;
+  int fired = 0;
+  e.schedule_at(1, [&, payload] {
+    for (int i = 0; i < 1'500; ++i) {
+      e.schedule_in(static_cast<TimePs>(1 + i), [&fired] { ++fired; });
+    }
+    for (int v : payload) sum += v;
+  });
+  e.run();
+  EXPECT_EQ(sum, 64 * 7);
+  EXPECT_EQ(fired, 1'500);
+  EXPECT_EQ(e.pending_events(), 0u);
+}
+
+TEST(Engine, RunUntilAdvancesTimeToTheDeadline) {
+  Engine e;
+  e.run_until(500);  // nothing queued: time passes anyway
+  EXPECT_EQ(e.now(), 500u);
+  e.schedule_at(700, [] {});
+  e.run_until(600);
+  EXPECT_EQ(e.now(), 600u);
+  EXPECT_EQ(e.run(), 700u);  // run() stops at the last event
+  EXPECT_EQ(e.run(), 700u);  // and an empty run() leaves time alone
+}
+
 // ---- Component lifecycle ---------------------------------------------------
 
 class Probe : public Component {

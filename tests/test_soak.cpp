@@ -300,6 +300,139 @@ INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardedFaultySoak,
                          });
 
 // ---------------------------------------------------------------------------
+// Multi-rank simulated time, pinned to the picosecond.  The chaos CSV
+// prints sim_ms to 1 us and the figures are 2-node runs, so this table is
+// what catches a change that moves multi-rank timing by nanoseconds: a
+// one-edge shift of the ALPU's tie rule (alpu/alpu.hpp) moves two rows.
+// The rows come from the clocked ALPU, before it became event-free; every
+// shard count must reproduce them.
+// ---------------------------------------------------------------------------
+
+struct PinnedChaos {
+  int ranks;
+  std::uint64_t seed;
+  double drop;
+  common::TimePs sim_time;
+  std::uint64_t retransmits;
+  std::uint64_t acks_tx;
+  std::uint64_t timeouts;
+};
+
+// {ranks, seed, drop, sim_time (ps), retransmits, acks_tx, timeouts}
+const std::vector<PinnedChaos> kPinnedChaos = {
+    {4, 1, 0, 257660000u, 0, 0, 0}
+,
+    {4, 1, 0.01, 257804000u, 2, 253, 1}
+,
+    {4, 1, 0.05, 327089793u, 112, 259, 15}
+,
+    {4, 2, 0, 269677500u, 0, 0, 0}
+,
+    {4, 2, 0.01, 281762000u, 60, 263, 5}
+,
+    {4, 2, 0.05, 586391060u, 129, 285, 16}
+,
+    {4, 3, 0, 306540500u, 0, 0, 0}
+,
+    {4, 3, 0.01, 309900041u, 45, 297, 6}
+,
+    {4, 3, 0.05, 400268000u, 123, 300, 15}
+,
+    {4, 4, 0, 403972000u, 0, 0, 0}
+,
+    {4, 4, 0.01, 1263315500u, 180, 446, 25}
+,
+    {4, 4, 0.05, 1199742000u, 274, 475, 37}
+,
+    {8, 1, 0, 592355500u, 0, 0, 0}
+,
+    {8, 1, 0.01, 605247500u, 105, 1233, 19}
+,
+    {8, 1, 0.05, 910742500u, 371, 1265, 68}
+,
+    {8, 2, 0, 662158500u, 0, 0, 0}
+,
+    {8, 2, 0.01, 662208500u, 118, 1237, 17}
+,
+    {8, 2, 0.05, 721481662u, 318, 1242, 50}
+,
+    {8, 3, 0, 553637500u, 0, 0, 0}
+,
+    {8, 3, 0.01, 585440879u, 131, 1242, 23}
+,
+    {8, 3, 0.05, 746435500u, 436, 1280, 72}
+,
+    {8, 4, 0, 621941000u, 0, 0, 0}
+,
+    {8, 4, 0.01, 622085000u, 65, 1237, 8}
+,
+    {8, 4, 0.05, 949936000u, 290, 1257, 55}
+,
+    {16, 1, 0, 1174043500u, 0, 0, 0}
+,
+    {16, 1, 0.01, 1173759500u, 185, 5150, 66}
+,
+    {16, 1, 0.05, 1246975000u, 930, 5311, 305}
+,
+    {16, 2, 0, 1203495500u, 0, 0, 0}
+,
+    {16, 2, 0.01, 1178858000u, 216, 5129, 72}
+,
+    {16, 2, 0.05, 1366939628u, 919, 5255, 275}
+,
+    {16, 3, 0, 1122255000u, 0, 0, 0}
+,
+    {16, 3, 0.01, 1182491000u, 286, 5097, 84}
+,
+    {16, 3, 0.05, 1466493500u, 976, 5151, 289}
+,
+    {16, 4, 0, 1198077000u, 0, 0, 0}
+,
+    {16, 4, 0.01, 1207381500u, 180, 5195, 54}
+,
+    {16, 4, 0.05, 1254224500u, 953, 5320, 284}
+,
+};
+
+class ChaosTimePinned : public ::testing::TestWithParam<int> {};
+
+TEST_P(ChaosTimePinned, MatchesTheCommittedTable) {
+  const int shards = GetParam();
+  const auto results = workload::sweep_map(
+      kPinnedChaos,
+      [shards](const PinnedChaos& row) {
+        workload::ChaosParams p;
+        p.ranks = row.ranks;
+        p.per_pair = 16;
+        p.seed = row.seed;
+        p.faults.drop_rate = row.drop;
+        p.faults.dup_rate = row.drop / 2;
+        p.faults.reorder_rate = row.drop / 2;
+        p.faults.seed = 7 * row.seed + 1;
+        p.shards = shards;
+        return workload::run_chaos(p);
+      },
+      workload::SweepOptions{.jobs = 4, .shards = 1, .seu = {}});
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const PinnedChaos& want = kPinnedChaos[i];
+    const workload::ChaosResult& got = results[i];
+    SCOPED_TRACE(::testing::Message() << "ranks=" << want.ranks
+                                      << " seed=" << want.seed
+                                      << " drop=" << want.drop);
+    EXPECT_TRUE(got.ok());
+    EXPECT_EQ(got.sim_time, want.sim_time);
+    EXPECT_EQ(got.reliability.retransmits, want.retransmits);
+    EXPECT_EQ(got.reliability.acks_tx, want.acks_tx);
+    EXPECT_EQ(got.reliability.timeouts, want.timeouts);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, ChaosTimePinned, ::testing::Values(1, 2),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "shards" + std::to_string(info.param);
+                         });
+
+// ---------------------------------------------------------------------------
 // Steady-state allocation gate for the NIC control path.  The dense
 // tables and pooled FlatMaps (common/dense.hpp) report every backing
 // growth through NicStats.control_allocs; after one full traffic wave

@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -52,6 +53,14 @@ using workload::NicMode;
 
 constexpr common::TimePs kPsPerUs = 1'000'000;
 
+// Upper bounds of the fields integer flags fill: each flag's range is its
+// field's, so no value wraps (Args::integer<T> and set assert it).
+constexpr double kIntMax = std::numeric_limits<int>::max();
+constexpr double kUnsignedMax = std::numeric_limits<unsigned>::max();
+constexpr double kU32Max = std::numeric_limits<std::uint32_t>::max();
+/// Whole microseconds a picosecond TimePs holds.
+constexpr double kUsMax = std::numeric_limits<common::TimePs>::max() / kPsPerUs;
+
 FlagSpec mode_flag(const char* fallback) {
   return {.name = "mode", .kind = kWord, .fallback = fallback,
           .choices = {workload::nic_mode_name(NicMode::kBaseline),
@@ -73,9 +82,9 @@ std::vector<FlagSpec> machine_flags() {
       {.name = "alpu-model", .kind = kWord, .fallback = "transaction",
        .choices = {"transaction", "pipelined"},
        .help = "the ALPU model: transaction-level or stage-level"},
-      {.name = "threshold", .kind = kInt,
+      {.name = "threshold", .kind = kInt, .min = 0,
        .help = "queue length at which the firmware starts using the ALPU"},
-      {.name = "minbatch", .kind = kInt,
+      {.name = "minbatch", .kind = kInt, .min = 0,
        .help = "entries pending before an ALPU insert session starts"},
   };
 }
@@ -83,27 +92,31 @@ std::vector<FlagSpec> machine_flags() {
 /// The reliability layer's knobs; they apply only when given.
 std::vector<FlagSpec> reliability_flags() {
   return {
-      {.name = "rel-max-retries", .kind = kInt,
+      {.name = "rel-max-retries", .kind = kInt, .min = 0,
+       .max = kUnsignedMax,
        .help = "timeouts without progress before a link is declared dead"},
-      {.name = "rel-base-timeout-us", .kind = kInt,
+      {.name = "rel-base-timeout-us", .kind = kInt, .min = 0, .max = kUsMax,
        .help = "first retransmit timeout"},
-      {.name = "rel-max-timeout-us", .kind = kInt,
+      {.name = "rel-max-timeout-us", .kind = kInt, .min = 0, .max = kUsMax,
        .help = "retransmit timeout backoff cap"},
-      {.name = "rel-reorder-window", .kind = kInt,
+      {.name = "rel-reorder-window", .kind = kInt, .min = 0,
        .help = "out-of-order packets buffered per peer"},
-      {.name = "rel-rnr-hint-us", .kind = kInt,
+      {.name = "rel-rnr-hint-us", .kind = kInt, .min = 0, .max = kU32Max,
        .help = "retry hint an RNR NACK carries"},
-      {.name = "rel-demote-after", .kind = kInt,
+      {.name = "rel-demote-after", .kind = kInt, .min = 0,
+       .max = kUnsignedMax,
        .help = "RNR refusals before a peer's eager sends go rendezvous"},
   };
 }
 
-/// The per-NIC eager budget; it applies only when given.
-std::vector<FlagSpec> budget_flags() {
+/// The per-NIC eager budget; it applies only when given.  The flow
+/// checker keeps its pool in 32 bits, the NIC in 64.
+std::vector<FlagSpec> budget_flags(
+    double pool_max = std::numeric_limits<double>::infinity()) {
   return {
-      {.name = "pool-bytes", .kind = kInt,
+      {.name = "pool-bytes", .kind = kInt, .min = 0, .max = pool_max,
        .help = "eager payload bytes a NIC may stage, 0 for unlimited"},
-      {.name = "slots", .kind = kInt,
+      {.name = "slots", .kind = kInt, .min = 0, .max = kU32Max,
        .help = "eager messages a NIC may stage, 0 for unlimited"},
   };
 }
@@ -124,8 +137,9 @@ std::vector<FlagSpec> seu_flags() {
   return {
       {.name = "seu-rate", .kind = kReal,
        .help = "chance of an ALPU bit flip per unit per microsecond"},
-      {.name = "seu-seed", .kind = kInt, .help = "bit-flip injector seed"},
-      {.name = "scrub-interval-us", .kind = kInt,
+      {.name = "seu-seed", .kind = kInt, .min = 0,
+       .help = "bit-flip injector seed"},
+      {.name = "scrub-interval-us", .kind = kInt, .min = 0, .max = kUsMax,
        .help = "parity scrub period, 0 for none"},
   };
 }
@@ -148,15 +162,15 @@ std::vector<FlagSpec> chaos_workload_flags(const char* drop_fallback,
   return {
       mode_flag("alpu256"),
       {.name = "ranks", .kind = kInt, .fallback = "4", .min = 2,
-       .help = "ranks in the all-to-all"},
+       .max = kIntMax, .help = "ranks in the all-to-all"},
       {.name = "per-pair", .kind = kInt, .fallback = "8", .min = 1,
-       .help = "messages each rank sends each peer"},
+       .max = kIntMax, .help = "messages each rank sends each peer"},
       {.name = "drop", .kind = kReal, .fallback = drop_fallback, .min = 0,
        .max = 1, .max_open = true, .help = drop_help},
       {.name = "dup", .kind = kReal, .help = "packet duplication rate"},
       {.name = "reorder", .kind = kReal, .help = "packet reorder rate"},
       {.name = "corrupt", .kind = kReal, .help = "packet corruption rate"},
-      {.name = "fault-seed", .kind = kInt, .fallback = "24301",
+      {.name = "fault-seed", .kind = kInt, .fallback = "24301", .min = 0,
        .help = "network fault injector seed"},
   };
 }
@@ -187,16 +201,13 @@ int run_check(const Args& args) {
   if (args.on("flow")) {
     return run_flow_check(args);
   }
-  const std::int64_t cells = args.integer("cells");
-  const std::int64_t block = args.integer("block");
-  if (!std::has_single_bit(static_cast<std::uint64_t>(block)) ||
-      cells % block != 0) {
-    return args.reject("--block must be a power of two dividing --cells");
-  }
   check::CheckOptions opt;
   args.set("depth", &opt.depth);
-  opt.cells = static_cast<std::size_t>(cells);
-  opt.block = static_cast<std::size_t>(block);
+  opt.cells = args.integer<std::size_t>("cells");
+  opt.block = args.integer<std::size_t>("block");
+  if (!std::has_single_bit(opt.block) || opt.cells % opt.block != 0) {
+    return args.reject("--block must be a power of two dividing --cells");
+  }
   opt.faults = args.on("faults");
 
   std::vector<check::ImplKind> impls;
@@ -323,8 +334,8 @@ void print_robustness_counters(
 /// pool and print it as CSV.
 int run_sweep(const Args& args) {
   workload::SweepOptions sweep;
-  sweep.jobs = static_cast<int>(args.integer("jobs"));
-  sweep.shards = static_cast<int>(args.integer("shards"));
+  sweep.jobs = args.integer<int>("jobs");
+  sweep.shards = args.integer<int>("shards");
   apply_seu_flags(args, &sweep.seu);
   const bool quick = args.on("quick");
 
@@ -357,15 +368,15 @@ int run_sweep(const Args& args) {
 workload::ChaosParams chaos_workload(const Args& args, double drop) {
   workload::ChaosParams p;
   p.mode = mode(args);
-  p.ranks = static_cast<int>(args.integer("ranks"));
-  p.per_pair = static_cast<int>(args.integer("per-pair"));
+  p.ranks = args.integer<int>("ranks");
+  p.per_pair = args.integer<int>("per-pair");
   p.faults.drop_rate = drop;
   p.faults.dup_rate = p.faults.reorder_rate = p.faults.corrupt_rate =
       drop / 2.0;
   args.set("dup", &p.faults.dup_rate);
   args.set("reorder", &p.faults.reorder_rate);
   args.set("corrupt", &p.faults.corrupt_rate);
-  p.faults.seed = static_cast<std::uint64_t>(args.integer("fault-seed"));
+  p.faults.seed = args.integer<std::uint64_t>("fault-seed");
   return p;
 }
 
@@ -378,8 +389,8 @@ workload::ChaosParams chaos_workload(const Args& args, double drop) {
 /// half the drop rate each unless given explicitly.
 int run_chaos(const Args& args) {
   workload::SweepOptions sweep;
-  sweep.jobs = static_cast<int>(args.integer("jobs"));
-  sweep.shards = static_cast<int>(args.integer("shards"));
+  sweep.jobs = args.integer<int>("jobs");
+  sweep.shards = args.integer<int>("shards");
 
   // Incast overload: every rank floods rank 0 with eager traffic while
   // rank 0 drains slowly, against a finite per-NIC eager budget.  The
@@ -557,7 +568,7 @@ int run_audit(const Args& args) {
     return args.reject("--shards wants two counts, e.g. 1,2");
   }
   workload::ChaosParams base = chaos_workload(args, args.real("drop"));
-  base.seed = static_cast<std::uint64_t>(args.integer("seed"));
+  base.seed = args.integer<std::uint64_t>("seed");
 
   const auto run_traced = [&base](unsigned nshards, check::Auditor& auditor,
                                   std::uint64_t capture_window) {
@@ -688,11 +699,11 @@ mpi::SystemConfig machine_config(const Args& args) {
 int run_preposted(const Args& args) {
   workload::PrepostedParams p;
   p.system = machine_config(args);
-  p.queue_length = static_cast<std::size_t>(args.integer("length"));
+  p.queue_length = args.integer<std::size_t>("length");
   p.fraction_traversed = args.real("fraction");
-  p.message_bytes = static_cast<std::uint32_t>(args.integer("bytes"));
-  p.iterations = static_cast<int>(args.integer("iterations"));
-  p.shards = static_cast<int>(args.integer("shards"));
+  p.message_bytes = args.integer<std::uint32_t>("bytes");
+  p.iterations = args.integer<int>("iterations");
+  p.shards = args.integer<int>("shards");
   if (p.iterations > 1 && p.fraction_traversed != 1.0) {
     return args.reject(
         "--iterations above 1 always walks the whole queue (--fraction 1)");
@@ -706,9 +717,9 @@ int run_preposted(const Args& args) {
 int run_unexpected(const Args& args) {
   workload::UnexpectedParams p;
   p.system = machine_config(args);
-  p.queue_length = static_cast<std::size_t>(args.integer("length"));
-  p.message_bytes = static_cast<std::uint32_t>(args.integer("bytes"));
-  p.shards = static_cast<int>(args.integer("shards"));
+  p.queue_length = args.integer<std::size_t>("length");
+  p.message_bytes = args.integer<std::uint32_t>("bytes");
+  p.shards = args.integer<int>("shards");
   std::string report;
   if (args.on("report")) p.report = &report;
   print_result(workload::run_unexpected(p), report);
@@ -717,8 +728,8 @@ int run_unexpected(const Args& args) {
 
 int run_pingpong(const Args& args) {
   const common::TimePs t = workload::run_pingpong(
-      mode(args), static_cast<std::uint32_t>(args.integer("bytes")),
-      static_cast<int>(args.integer("iterations")));
+      mode(args), args.integer<std::uint32_t>("bytes"),
+      args.integer<int>("iterations"));
   std::printf("half_rtt_ns=%.1f\n", common::to_ns(t));
   return 0;
 }
@@ -726,10 +737,10 @@ int run_pingpong(const Args& args) {
 int run_msgrate(const Args& args) {
   workload::MessageRateParams p;
   p.system = machine_config(args);
-  p.queue_length = static_cast<std::size_t>(args.integer("length"));
-  p.burst = static_cast<int>(args.integer("burst"));
-  p.message_bytes = static_cast<std::uint32_t>(args.integer("bytes"));
-  p.shards = static_cast<int>(args.integer("shards"));
+  p.queue_length = args.integer<std::size_t>("length");
+  p.burst = args.integer<int>("burst");
+  p.message_bytes = args.integer<std::uint32_t>("bytes");
+  p.shards = args.integer<int>("shards");
   const common::TimePs gap = workload::run_message_rate(p);
   std::printf("gap_ns=%.1f\n", common::to_ns(gap));
   std::printf("mmsgs_per_s=%.3f\n", 1e3 / common::to_ns(gap));
@@ -737,8 +748,8 @@ int run_msgrate(const Args& args) {
 }
 
 int run_fpga(const Args& args) {
-  const auto cells = static_cast<std::uint64_t>(args.integer("cells"));
-  const auto block = static_cast<std::uint64_t>(args.integer("block"));
+  const auto cells = args.integer<std::uint64_t>("cells");
+  const auto block = args.integer<std::uint64_t>("block");
   if (!(std::has_single_bit(cells) && std::has_single_bit(block) &&
         block <= cells)) {
     return args.reject(
@@ -747,7 +758,7 @@ int run_fpga(const Args& args) {
   fpga::PrototypeParams p;
   p.total_cells = cells;
   p.block_size = block;
-  p.match_width = static_cast<unsigned>(args.integer("width"));
+  p.match_width = args.integer<unsigned>("width");
   p.flavor = args.word("flavor") == "unexpected"
                  ? hw::AlpuFlavor::kUnexpected
                  : hw::AlpuFlavor::kPostedReceive;
@@ -781,7 +792,8 @@ std::vector<Command> commands() {
   const FlagSpec length{.name = "length", .kind = kInt, .fallback = "0",
                         .min = 0, .help = "entries queued ahead of the match"};
   const FlagSpec bytes{.name = "bytes", .kind = kInt, .fallback = "0",
-                       .min = 0, .help = "message payload bytes"};
+                       .min = 0, .max = kU32Max,
+                       .help = "message payload bytes"};
   const FlagSpec report{.name = "report",
                         .help = "print every component's counters at the end"};
   const std::vector<FlagSpec> latency =
@@ -796,7 +808,7 @@ std::vector<Command> commands() {
                {{.name = "fraction", .kind = kReal, .fallback = "1", .min = 0,
                  .max = 1, .help = "share of the queue the message walks"},
                 {.name = "iterations", .kind = kInt, .fallback = "1",
-                 .min = 1, .help = "measured pings, averaged"},
+                 .min = 1, .max = kIntMax, .help = "measured pings, averaged"},
                 report}}),
        run_preposted},
       {"unexpected", "Figure 6: receive latency past an unexpected queue",
@@ -804,20 +816,20 @@ std::vector<Command> commands() {
       {"pingpong", "half round-trip time with empty queues",
        {mode_flag("baseline"), bytes,
         {.name = "iterations", .kind = kInt, .fallback = "8", .min = 1,
-         .help = "measured round trips, averaged"}},
+         .max = kIntMax, .help = "measured round trips, averaged"}},
        run_pingpong},
       {"msgrate", "per-message gap of a burst past a standing posted queue",
        concat({latency,
                {{.name = "burst", .kind = kInt, .fallback = "64", .min = 1,
-                 .help = "messages in the measured burst"}}}),
+                 .max = kIntMax, .help = "messages in the measured burst"}}}),
        run_msgrate},
       {"fpga", "Table IV/V area and clock estimate of one ALPU",
-       {{.name = "cells", .kind = kInt, .fallback = "256",
+       {{.name = "cells", .kind = kInt, .fallback = "256", .min = 0,
          .help = "cells in the unit, a power of two"},
-        {.name = "block", .kind = kInt, .fallback = "16",
+        {.name = "block", .kind = kInt, .fallback = "16", .min = 0,
          .help = "cells per block, a power of two"},
-        {.name = "width", .kind = kInt, .fallback = "42",
-         .help = "match bits per cell"},
+        {.name = "width", .kind = kInt, .fallback = "42", .min = 0,
+         .max = kUnsignedMax, .help = "match bits per cell"},
         {.name = "flavor", .kind = kWord, .fallback = "posted",
          .choices = {"posted", "unexpected"}, .help = "which unit"}},
        run_fpga},
@@ -836,7 +848,7 @@ std::vector<Command> commands() {
                  .help = "operations per sequence; 6, or 7 with --flow"},
                 {.name = "cells", .kind = kInt, .fallback = "4", .min = 1,
                  .help = "array cells"},
-                {.name = "block", .kind = kInt, .fallback = "2",
+                {.name = "block", .kind = kInt, .fallback = "2", .min = 0,
                  .help = "cells per block, a power of two dividing --cells"},
                 {.name = "impl", .kind = kWord, .fallback = "all",
                  .choices = {"array", "alpu", "pipelined", "all"},
@@ -851,7 +863,7 @@ std::vector<Command> commands() {
                 {.name = "inject-compaction-bug",
                  .help = "must-fail hook: a compaction off-by-one"},
                 silent_flip},
-               budget_flags()}),
+               budget_flags(kU32Max)}),
        run_check},
       {"chaos", "fault soak: every message exactly once and in order",
        concat({{workload::jobs_flag(), workload::shards_flag(),
@@ -870,7 +882,7 @@ std::vector<Command> commands() {
       {"audit", "shard-divergence triage (needs -DALPU_AUDIT=ON)",
        concat({{{.name = "shards", .kind = kWord, .fallback = "1,2",
                  .help = "the two shard counts to compare, A,B"},
-                {.name = "seed", .kind = kInt, .fallback = "1",
+                {.name = "seed", .kind = kInt, .fallback = "1", .min = 0,
                  .help = "traffic plan"}},
                chaos_workload_flags("0", "packet drop rate")}),
        run_audit},

@@ -50,8 +50,8 @@ std::vector<common::FlagSpec> conform_flags() {
 
 int run_conform(const common::Args& args) {
   workload::SweepOptions sweep;
-  sweep.jobs = static_cast<int>(args.integer("jobs"));
-  sweep.shards = static_cast<int>(args.integer("shards"));
+  sweep.jobs = args.integer<int>("jobs");
+  sweep.shards = args.integer<int>("shards");
 
   // Latencies in ns: Figure 5 by (mode, L, f), Figure 6 by (mode, U), and
   // the points off both grids.
