@@ -20,6 +20,7 @@
 // bench/e2e (`sim.event_ns`, `host_ns_per_msg`); this binary stays for
 // the shard speedup, which bench/e2e does not run.
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <vector>
@@ -108,17 +109,20 @@ int main(int argc, char** argv) {
           .flags = {{.name = "iters", .kind = kInt, .fallback = "2000000",
                      .min = 1, .help = "events of the engine-churn run"},
                     {.name = "shards", .kind = kInt, .fallback = "8",
-                     .min = 1, .help = "shards of the sharded machine run"},
+                     .min = 1, .max = INT_MAX,
+                     .help = "shards of the sharded machine run"},
                     {.name = "ranks", .kind = kInt, .fallback = "16",
-                     .min = 2, .help = "ranks of the all-to-all machine"},
+                     .min = 2, .max = INT_MAX,
+                     .help = "ranks of the all-to-all machine"},
                     {.name = "repeats", .kind = kInt, .fallback = "3",
-                     .min = 1, .help = "machine runs per shard count"}}}
+                     .min = 1, .max = INT_MAX,
+                     .help = "machine runs per shard count"}}}
           .parse(argc, argv);
   if (!args) return 2;
-  const auto iters = static_cast<std::uint64_t>(args->integer("iters"));
-  const int shards = static_cast<int>(args->integer("shards"));
-  const int ranks = static_cast<int>(args->integer("ranks"));
-  const int repeats = static_cast<int>(args->integer("repeats"));
+  const auto iters = args->integer<std::uint64_t>("iters");
+  const int shards = args->integer<int>("shards");
+  const int ranks = args->integer<int>("ranks");
+  const int repeats = args->integer<int>("repeats");
 
   const double churn = measure_engine_churn(iters);
   std::printf("engine churn:        %12.0f events/s (%llu events)\n", churn,

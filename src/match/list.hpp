@@ -181,6 +181,8 @@ class PostedList {
     ALPU_ASSERT(i < size(), "posted-list index out of range");
     return PostedEntry{Pattern{bits_[i], mask_[i]}, cookies_[i], addrs_[i]};
   }
+  /// The address plane: entry i's simulated address is addrs()[i].
+  const std::uint64_t* addrs() const { return addrs_.data(); }
   void clear() {
     bits_.clear();
     mask_.clear();
@@ -237,6 +239,8 @@ class UnexpectedList {
     ALPU_ASSERT(i < size(), "unexpected-list index out of range");
     return UnexpectedEntry{words_[i], cookies_[i], addrs_[i]};
   }
+  /// The address plane: entry i's simulated address is addrs()[i].
+  const std::uint64_t* addrs() const { return addrs_.data(); }
   void clear() {
     words_.clear();
     cookies_.clear();

@@ -14,12 +14,16 @@ Cache::Cache(const CacheConfig& config)
       pow2_geometry_(std::has_single_bit(config.line_bytes) &&
                      std::has_single_bit(sets_)),
       line_shift_(static_cast<unsigned>(std::countr_zero(config.line_bytes))),
-      lines_(sets_ * config.ways),
-      prev_(sets_ * (config.ways + 1)),
-      next_(sets_ * (config.ways + 1)),
-      dirty_(sets_ * (config.ways + 1)),
-      index_(sets_ * buckets_),
-      fill_(sets_) {
+      lines_(std::make_unique_for_overwrite<Addr[]>(sets_ * config.ways)),
+      prev_(std::make_unique_for_overwrite<std::uint16_t[]>(
+          sets_ * (config.ways + 1))),
+      next_(std::make_unique_for_overwrite<std::uint16_t[]>(
+          sets_ * (config.ways + 1))),
+      dirty_(std::make_unique_for_overwrite<std::uint8_t[]>(
+          sets_ * (config.ways + 1))),
+      index_(std::make_unique_for_overwrite<std::uint16_t[]>(sets_ *
+                                                             buckets_)),
+      fill_(sets_, kUntouched) {
   ALPU_ASSERT(config.size_bytes % config.line_bytes == 0,
               "cache size must be a whole number of lines");
   ALPU_ASSERT(config.num_lines() % config.ways == 0,
@@ -29,12 +33,14 @@ Cache::Cache(const CacheConfig& config)
               "cache slots must fit the 16-bit links");
 }
 
-void Cache::flush() {
-  // A slot's line and dirty bit are rewritten when it fills.
-  std::fill(prev_.begin(), prev_.end(), 0);
-  std::fill(next_.begin(), next_.end(), 0);
-  std::fill(index_.begin(), index_.end(), 0);
-  std::fill(fill_.begin(), fill_.end(), 0);
+void Cache::flush() { std::fill(fill_.begin(), fill_.end(), kUntouched); }
+
+void Cache::set_up(std::size_t set) {
+  const std::size_t base = set * (config_.ways + 1);
+  std::fill_n(&prev_[base], config_.ways + 1, 0);
+  std::fill_n(&next_[base], config_.ways + 1, 0);
+  std::fill_n(&index_[set * buckets_], buckets_, 0);
+  fill_[set] = 0;
 }
 
 void Cache::erase_bucket(std::size_t set, std::size_t pos) {

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/check.hpp"
@@ -54,7 +55,10 @@ struct CacheAccess {
 /// line to its slot (0: empty) in bit_ceil(2 * ways) buckets, with linear
 /// probing and backward-shift deletion.  Its doubly linked list runs from
 /// sentinel slot 0 through the filled slots, MRU to LRU, and back (zeroed
-/// links: empty), so its tail is exactly the true-LRU victim.
+/// links: empty), so its tail is exactly the true-LRU victim.  A set's
+/// links and index are zeroed at its first access after construction or
+/// a flush, so a run pays only for the sets it touches; a slot's line and
+/// dirty byte are written when it fills.
 class Cache {
  public:
   explicit Cache(const CacheConfig& config);
@@ -62,30 +66,78 @@ class Cache {
   /// Look up `addr`; on miss, allocate the line (evicting LRU).  Inline:
   /// this is the innermost call of every modelled load and store.
   CacheAccess access(Addr addr, bool is_write) {
-    ++stats_.accesses;
+    return step(line_of(addr), is_write, stats_);
+  }
+
+  /// Read `addrs[0, n)` in order: exactly the hits, fills, evictions and
+  /// counters of n access(addr, false) calls, with the counters kept in
+  /// registers for the run.  Returns the run's misses.
+  std::uint64_t read_run(const Addr* addrs, std::size_t n) {
+    CacheStats st = stats_;
+    for (std::size_t i = 0; i < n; ++i) step(line_of(addrs[i]), false, st);
+    const std::uint64_t misses = st.misses - stats_.misses;
+    stats_ = st;
+    return misses;
+  }
+
+  /// Probe without side effects (used by tests and warm-up accounting).
+  bool contains(Addr addr) const {
     const Addr line = line_of(addr);
+    return fill_[set_of(line)] != kUntouched && index_[find_bucket(line)] != 0;
+  }
+
+  /// Invalidate everything (e.g. context switch modelling): O(sets), as
+  /// each set is set up again at its next access.
+  void flush();
+
+  /// O(lines) structural check: in every set set up so far, the recency
+  /// list visits each filled slot once, and the index holds exactly
+  /// those.  Each fill or eviction checks its set under ALPU_INVARIANT
+  /// (ALPU_CHECKED only).
+  bool check_invariants() const {
+    for (std::size_t set = 0; set < sets_; ++set) {
+      if (fill_[set] != kUntouched && !set_consistent(set)) return false;
+    }
+    return true;
+  }
+
+  const CacheConfig& config() const { return config_; }
+  const CacheStats& stats() const { return stats_; }
+
+ private:
+  /// fill_ of a set whose links and index are not set up yet (above any
+  /// real fill: the constructor asserts ways < 65535).
+  static constexpr std::uint16_t kUntouched = 0xFFFF;
+
+  /// The one LRU transition behind access() and read_run(), counting
+  /// into `st`.  Always inlined, so that read_run's counters stay in
+  /// registers.
+  [[gnu::always_inline]] CacheAccess step(Addr line, bool is_write,
+                                          CacheStats& st) {
+    ++st.accesses;
     const std::size_t set = set_of(line);
+    if (fill_[set] == kUntouched) [[unlikely]] set_up(set);
     const std::size_t base = set * (config_.ways + 1);
     std::uint16_t* prev = &prev_[base];
     std::uint16_t* next = &next_[base];
     std::size_t pos = find_bucket(line);
     std::uint16_t slot = index_[pos];
     CacheAccess out{.hit = slot != 0, .evicted_dirty = false};
-    ++(out.hit ? stats_.hits : stats_.misses);
+    ++(out.hit ? st.hits : st.misses);
     if (!out.hit) {
       if (fill_[set] < config_.ways) {
         slot = ++fill_[set];  // self-linked, so unlinking it is a no-op
         prev[slot] = next[slot] = slot;
       } else {
         slot = prev[0];  // the LRU way
-        ++stats_.evictions;
-        out.evicted_dirty = dirty_[base + slot];
-        if (out.evicted_dirty) ++stats_.writebacks;
+        ++st.evictions;
+        out.evicted_dirty = dirty_[base + slot] != 0;
+        if (out.evicted_dirty) ++st.writebacks;
         erase_bucket(set, find_bucket(lines_[set * config_.ways + slot - 1]));
         pos = find_bucket(line);  // the shift may have moved the chain end
       }
       lines_[set * config_.ways + slot - 1] = line;
-      dirty_[base + slot] = false;
+      dirty_[base + slot] = 0;
       index_[pos] = slot;
     }
     // Move the slot to the MRU end of the list.
@@ -95,34 +147,12 @@ class Cache {
     next[slot] = next[0];
     prev[next[0]] = slot;
     next[0] = slot;
-    if (is_write) dirty_[base + slot] = true;
+    if (is_write) dirty_[base + slot] = 1;
     ALPU_INVARIANT(out.hit || set_consistent(set),
                    "cache set inconsistent after a fill or eviction");
     return out;
   }
 
-  /// Probe without side effects (used by tests and warm-up accounting).
-  bool contains(Addr addr) const {
-    return index_[find_bucket(line_of(addr))] != 0;
-  }
-
-  /// Invalidate everything (e.g. context switch modelling).
-  void flush();
-
-  /// O(lines) structural check: in every set, the recency list visits
-  /// each filled slot once, and the index holds exactly those.  Each fill
-  /// or eviction checks its set under ALPU_INVARIANT (ALPU_CHECKED only).
-  bool check_invariants() const {
-    for (std::size_t set = 0; set < sets_; ++set) {
-      if (!set_consistent(set)) return false;
-    }
-    return true;
-  }
-
-  const CacheConfig& config() const { return config_; }
-  const CacheStats& stats() const { return stats_; }
-
- private:
   // Table III and the benchmark grids have power-of-two line size and set
   // count, so the hot path shifts and masks; division keeps other shapes.
   Addr line_of(Addr addr) const {
@@ -146,6 +176,8 @@ class Cache {
     }
     return first + b;
   }
+  /// Zero `set`'s links and index and mark it empty.
+  void set_up(std::size_t set);
   /// Empty index_[pos], pulling later members of its chain back.
   void erase_bucket(std::size_t set, std::size_t pos);
   bool set_consistent(std::size_t set) const;
@@ -156,12 +188,14 @@ class Cache {
   unsigned hash_shift_;               ///< 64 - log2(buckets_)
   bool pow2_geometry_;                ///< line_bytes and sets_ powers of 2
   unsigned line_shift_;               ///< log2(line_bytes) if pow2_geometry_
-  std::vector<Addr> lines_;           ///< sets_ * ways: slot s at way s-1
-  std::vector<std::uint16_t> prev_;   ///< sets_ * (ways + 1): newer slot
-  std::vector<std::uint16_t> next_;   ///< sets_ * (ways + 1): older slot
-  std::vector<bool> dirty_;           ///< sets_ * (ways + 1)
-  std::vector<std::uint16_t> index_;  ///< sets_ * buckets_ slot numbers
-  std::vector<std::uint16_t> fill_;   ///< filled slots per set
+  // The planes start uninitialised; set_up() zeroes a set's share of
+  // prev_, next_ and index_.
+  std::unique_ptr<Addr[]> lines_;  ///< sets_ * ways: slot s at way s-1
+  std::unique_ptr<std::uint16_t[]> prev_;   ///< sets_ * (ways + 1): newer slot
+  std::unique_ptr<std::uint16_t[]> next_;   ///< sets_ * (ways + 1): older slot
+  std::unique_ptr<std::uint8_t[]> dirty_;   ///< sets_ * (ways + 1)
+  std::unique_ptr<std::uint16_t[]> index_;  ///< sets_ * buckets_ slot numbers
+  std::vector<std::uint16_t> fill_;  ///< filled slots per set, or kUntouched
   CacheStats stats_;
 };
 

@@ -8,6 +8,7 @@
 // (the host's case: 85–90 cycles).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 
@@ -55,6 +56,12 @@ class MemorySystem {
   /// Cost of a store (write-allocate, write-back).
   TimePs store(Addr addr, TimePs now) { return access(addr, now, true); }
 
+  /// Cost of a walk that loads `addrs[0, n)` in order after `gap` of CPU
+  /// work each: exactly the sum of gap + load(addrs[i], now + t), with t
+  /// the walk's cost before load i.  Without an L2 or DRAM a miss always
+  /// costs `backend_ps`, so the walk is one Cache::read_run.
+  TimePs load_run(const Addr* addrs, std::size_t n, TimePs now, TimePs gap);
+
   /// Touch every line of [addr, addr+bytes) and return the summed cost
   /// (models structure-sized reads like pulling a queue entry).
   TimePs touch_range(Addr addr, std::uint64_t bytes, TimePs now,
@@ -62,6 +69,8 @@ class MemorySystem {
 
   const Cache& l1() const { return l1_; }
   const CacheStats& l1_stats() const { return l1_.stats(); }
+  /// The L2, or null when the configuration has none.
+  const Cache* l2() const { return l2_ ? &*l2_ : nullptr; }
   const MemorySystemStats& stats() const { return stats_; }
   Cache& l1_mutable() { return l1_; }
 
@@ -111,6 +120,24 @@ inline TimePs MemorySystem::access(Addr addr, TimePs now, bool is_write) {
   }
   stats_.total_time += cost;
   return cost;
+}
+
+inline TimePs MemorySystem::load_run(const Addr* addrs, std::size_t n,
+                                     TimePs now, TimePs gap) {
+  if (l2_.has_value() || dram_.has_value()) {
+    // DRAM timing depends on each load's start time: one load at a time.
+    TimePs t = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      t += gap;
+      t += load(addrs[i], now + t);
+    }
+    return t;
+  }
+  const std::uint64_t misses = l1_.read_run(addrs, n);
+  const TimePs cost = n * config_.l1_hit_ps + misses * config_.backend_ps;
+  stats_.loads += n;
+  stats_.total_time += cost;
+  return n * gap + cost;
 }
 
 inline TimePs MemorySystem::touch_range(Addr addr, std::uint64_t bytes,

@@ -228,25 +228,19 @@ void Nic::complete(const Completion& completion) {
 // ---------------------------------------------------------------------------
 
 TimePs Nic::walk_cost_posted(std::size_t first, std::size_t visited) {
-  TimePs t = 0;
-  const TimePs now = engine().now();
-  for (std::size_t i = first; i < first + visited; ++i) {
-    t += instr(config_.costs.per_entry_cycles);
-    t += memory_.load(posted_.at(i).addr, now + t);
-  }
+  ALPU_ASSERT(first + visited <= posted_.size(), "posted walk past the end");
   stats_.posted_entries_walked += visited;
-  return t;
+  return memory_.load_run(posted_.addrs() + first, visited, engine().now(),
+                          instr(config_.costs.per_entry_cycles));
 }
 
 TimePs Nic::walk_cost_unexpected(std::size_t first, std::size_t visited) {
-  TimePs t = 0;
-  const TimePs now = engine().now();
-  for (std::size_t i = first; i < first + visited; ++i) {
-    t += instr(config_.costs.per_entry_cycles);
-    t += memory_.load(unexpected_.at(i).addr, now + t);
-  }
+  ALPU_ASSERT(first + visited <= unexpected_.size(),
+              "unexpected walk past the end");
   stats_.unexpected_entries_walked += visited;
-  return t;
+  return memory_.load_run(unexpected_.addrs() + first, visited,
+                          engine().now(),
+                          instr(config_.costs.per_entry_cycles));
 }
 
 TimePs Nic::erase_cost(mem::Addr state_line) {

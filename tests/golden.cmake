@@ -149,8 +149,10 @@ elseif(GROUP STREQUAL "alpusim_rejects_bad_flags")
   endforeach()
 elseif(GROUP STREQUAL "bench_rejects_bad_flags")
   # The flag-taking benches print the usage for a flag they do not read.
+  # A count past its variable's range is rejected too, not wrapped.
   foreach(row "bench_preposted;--jbos;8" "bench_scaling;--jbos;8"
-              "bench_threshold;--jbos;8" "bench_engine;--iter;1000")
+              "bench_threshold;--jbos;8" "bench_engine;--iter;1000"
+              "bench_engine;--iters;1000;--repeats;4294967297")
     list(POP_FRONT row bench)
     run(${BENCH_DIR}/${bench} "" 2 ${row})
   endforeach()

@@ -1,6 +1,8 @@
 // Unit tests for the memory models: cache, DRAM, memory system, heap.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
 #include "mem/memory_system.hpp"
@@ -99,6 +101,53 @@ TEST(Cache, HighAssociativityBehavesFullyAssociative) {
   // One more line evicts exactly one.
   c.access(512 * 64, false);
   EXPECT_EQ(c.stats().evictions, 1u);
+}
+
+TEST(Cache, FreshSetsHoldNothing) {
+  // The host L2 shape: 1024 sets, each set up at its first access.
+  Cache c(CacheConfig{.size_bytes = 512 * 1024, .line_bytes = 64, .ways = 8});
+  ASSERT_EQ(c.config().num_sets(), 1024u);
+  EXPECT_TRUE(c.check_invariants());
+  for (Addr line = 0; line < 4096; line += 7) {
+    EXPECT_FALSE(c.contains(line * 64));
+  }
+  EXPECT_FALSE(c.access(0, true).hit);  // sets up set 0 only
+  EXPECT_TRUE(c.contains(0));
+  EXPECT_FALSE(c.contains(1024 * 64));  // set 0, another line
+  EXPECT_FALSE(c.contains(64));         // set 1, untouched
+  EXPECT_TRUE(c.check_invariants());
+}
+
+TEST(Cache, FlushedCacheReplaysAFreshOne) {
+  // After a flush, every set is set up again at its next access: a
+  // stream sees exactly what it sees on a fresh cache.
+  const auto stream = [](Cache& c) {
+    std::vector<CacheAccess> out;
+    for (Addr i = 0; i < 200; ++i) {
+      out.push_back(c.access((i * 5 % 48) * 64, i % 3 == 0));
+    }
+    return out;
+  };
+  Cache used(small_cache());
+  (void)stream(used);
+  const CacheStats before = used.stats();
+  used.flush();
+  EXPECT_TRUE(used.check_invariants());
+  EXPECT_FALSE(used.contains(0));
+  Cache fresh(small_cache());
+  const std::vector<CacheAccess> got = stream(used);
+  const std::vector<CacheAccess> want = stream(fresh);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].hit, want[i].hit) << "access " << i;
+    EXPECT_EQ(got[i].evicted_dirty, want[i].evicted_dirty) << "access " << i;
+  }
+  EXPECT_EQ(used.stats().hits - before.hits, fresh.stats().hits);
+  EXPECT_EQ(used.stats().misses - before.misses, fresh.stats().misses);
+  EXPECT_EQ(used.stats().evictions - before.evictions,
+            fresh.stats().evictions);
+  EXPECT_EQ(used.stats().writebacks - before.writebacks,
+            fresh.stats().writebacks);
+  EXPECT_GT(fresh.stats().writebacks, 0u);
 }
 
 // ---- DRAM ------------------------------------------------------------------
@@ -216,6 +265,43 @@ TEST(MemorySystem, FlushRestoresColdBehaviour) {
   (void)m.load(0, 0);
   m.flush();
   EXPECT_EQ(m.load(0, 0), 4'000u + 50'000u);
+}
+
+// The default configuration is the NIC's Table III shape: a 32 KB 64-way
+// L1 (8 sets), 4 ns hits and 62 ns to local memory.
+
+std::vector<Addr> lines(std::size_t n) {
+  std::vector<Addr> out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = i * 64;
+  return out;
+}
+
+TEST(MemorySystem, LoadRunOfResidentLinesChargesHits) {
+  MemorySystem m(MemorySystemConfig{});
+  const std::vector<Addr> walk = lines(200);
+  (void)m.load_run(walk.data(), walk.size(), 0, 0);  // cold: fills
+  const MemorySystemStats before = m.stats();
+  const common::TimePs gap = 6'000;
+  EXPECT_EQ(m.load_run(walk.data(), walk.size(), 1'000'000, gap),
+            200 * (gap + 4'000));
+  EXPECT_EQ(m.stats().loads, before.loads + 200);
+  EXPECT_EQ(m.stats().total_time, before.total_time + 200 * 4'000);
+}
+
+TEST(MemorySystem, LoadRunPastTheKneeMissesEveryEntry) {
+  // 600 lines put 75 in each 64-way set, so a cyclic walk evicts every
+  // line before it comes round again: every entry pays the 62 ns fill.
+  // This is the Section VI-B knee at the memory layer.
+  MemorySystem m(MemorySystemConfig{});
+  const std::vector<Addr> walk = lines(600);
+  const common::TimePs gap = 6'000;
+  for (int pass = 0; pass < 3; ++pass) {
+    EXPECT_EQ(m.load_run(walk.data(), walk.size(), 0, gap),
+              600 * (gap + 4'000 + 62'000))
+        << "pass " << pass;
+  }
+  EXPECT_EQ(m.l1_stats().hits, 0u);
+  EXPECT_EQ(m.l1_stats().evictions, 3 * 600 - 512u);
 }
 
 // ---- SimHeap ---------------------------------------------------------------

@@ -93,34 +93,49 @@ TEST_P(CacheGeometry, HitMissStreamMatchesReferenceLru) {
   ReferenceCache reference(config);
   common::Xoshiro256 rng(seed);
 
-  // Mixed access pattern: streaming runs (queue walks), hot-set reuse
-  // (firmware structures), and random scatter.
+  // Mixed access pattern: streaming runs (queue walks, read through
+  // read_run in runs of 1-64 lines), hot-set reuse (firmware structures),
+  // and random scatter.
   Addr stream = 0;
-  const auto next_addr = [&] {
-    const double roll = rng.uniform01();
-    if (roll < 0.4) {
-      const Addr addr = stream;
-      stream += line;
-      if (stream > 4 * config.size_bytes) stream = 0;
-      return addr;
-    }
+  const auto next_stream = [&] {
+    const Addr addr = stream;
+    stream += line;
+    if (stream > 4 * config.size_bytes) stream = 0;
+    return addr;
+  };
+  const auto pick = [&](double roll) {
+    if (roll < 0.4) return next_stream();
     if (roll < 0.7) return rng.below(16) * line;  // hot lines
     return rng.below(1 << 22);
   };
+  std::vector<Addr> run;
   for (int i = 0; i < 20'000; ++i) {
     if (i == 10'000) {  // mid-stream flush: both sides start cold again
       cache.flush();
       reference.flush();
     }
-    const Addr addr = next_addr();
-    const bool is_write = rng.chance(0.3);
-    const CacheAccess got = cache.access(addr, is_write);
-    const CacheAccess want = reference.access(addr, is_write);
-    ASSERT_EQ(got.hit, want.hit) << "access " << i << " addr " << addr;
-    ASSERT_EQ(got.evicted_dirty, want.evicted_dirty)
-        << "access " << i << " addr " << addr;
+    const double roll = rng.uniform01();
+    if (roll < 0.4) {
+      run.resize(1 + rng.below(64));
+      for (Addr& addr : run) addr = next_stream();
+      std::uint64_t want = 0;
+      for (const Addr addr : run) {
+        if (!reference.access(addr, false).hit) ++want;
+      }
+      ASSERT_EQ(cache.read_run(run.data(), run.size()), want)
+          << "run of " << run.size() << " at access " << i << " addr "
+          << run.front();
+    } else {
+      const Addr addr = pick(roll);
+      const bool is_write = rng.chance(0.3);
+      const CacheAccess got = cache.access(addr, is_write);
+      const CacheAccess want = reference.access(addr, is_write);
+      ASSERT_EQ(got.hit, want.hit) << "access " << i << " addr " << addr;
+      ASSERT_EQ(got.evicted_dirty, want.evicted_dirty)
+          << "access " << i << " addr " << addr;
+    }
     if (i % 64 == 0) {
-      const Addr probe = next_addr();
+      const Addr probe = pick(rng.uniform01());
       ASSERT_EQ(cache.contains(probe), reference.contains(probe))
           << "probe after access " << i << " addr " << probe;
       ASSERT_TRUE(cache.check_invariants()) << "after access " << i;
@@ -194,6 +209,74 @@ TEST(MemorySystemProperties, CostsAreMonotoneInHierarchyDepth) {
     const common::TimePs t = m.load(rng.below(1 << 18), 0);
     EXPECT_GE(t, cfg.l1_hit_ps);
     EXPECT_LE(t, cfg.l1_hit_ps + cfg.l2_hit_ps + cfg.backend_ps);
+  }
+}
+
+TEST(MemorySystemProperties, LoadRunEqualsPerLoadLoop) {
+  // A walk through load_run costs and counts exactly what the loop it
+  // replaces does, on the NIC shape (L1 only: one read_run) and on the
+  // host shape (L2 and DRAM: load by load), with stores mixed in so that
+  // walks evict dirty lines.
+  MemorySystemConfig host;
+  host.l1 = {.size_bytes = 4096, .line_bytes = 64, .ways = 2};
+  host.l1_hit_ps = 1'000;
+  host.l2 = CacheConfig{.size_bytes = 16384, .line_bytes = 64, .ways = 4};
+  host.l2_hit_ps = 6'000;
+  host.backend_ps = 12'000;
+  host.use_dram = true;
+  for (const MemorySystemConfig& cfg : {MemorySystemConfig{}, host}) {
+    SCOPED_TRACE(cfg.l2 ? "host shape" : "NIC shape");
+    MemorySystem batched(cfg);
+    MemorySystem looped(cfg);
+    common::Xoshiro256 rng(17);
+    // Lines around the L1's capacity, so walks both hit and evict.
+    const Addr span = 3 * cfg.l1.num_lines() / 2;
+    std::vector<Addr> run;
+    common::TimePs now = 1'000'000;
+    for (int i = 0; i < 2'000; ++i) {
+      const Addr store = rng.below(span) * 64;
+      ASSERT_EQ(batched.store(store, now), looped.store(store, now));
+      const Addr first = rng.below(span);
+      run.resize(rng.below(2 * cfg.l1.num_lines()));
+      for (std::size_t k = 0; k < run.size(); ++k) {
+        run[k] = ((first + k) % span) * 64 + rng.below(64);
+      }
+      const common::TimePs gap = rng.below(4) * 2'000;
+      common::TimePs want = 0;
+      for (const Addr addr : run) {
+        want += gap;
+        want += looped.load(addr, now + want);
+      }
+      ASSERT_EQ(batched.load_run(run.data(), run.size(), now, gap), want)
+          << "walk " << i;
+      now += want + rng.below(100'000);
+    }
+    EXPECT_EQ(batched.stats().loads, looped.stats().loads);
+    EXPECT_EQ(batched.stats().stores, looped.stats().stores);
+    EXPECT_EQ(batched.stats().total_time, looped.stats().total_time);
+    const auto same_stats = [](const CacheStats& a, const CacheStats& b) {
+      EXPECT_EQ(a.accesses, b.accesses);
+      EXPECT_EQ(a.hits, b.hits);
+      EXPECT_EQ(a.misses, b.misses);
+      EXPECT_EQ(a.evictions, b.evictions);
+      EXPECT_EQ(a.writebacks, b.writebacks);
+    };
+    same_stats(batched.l1_stats(), looped.l1_stats());
+    EXPECT_GT(looped.l1_stats().writebacks, 0u);
+    ASSERT_EQ(batched.l2() != nullptr, looped.l2() != nullptr);
+    if (looped.l2() != nullptr) {
+      same_stats(batched.l2()->stats(), looped.l2()->stats());
+    }
+    for (Addr line = 0; line < 2 * span; ++line) {
+      ASSERT_EQ(batched.l1().contains(line * 64),
+                looped.l1().contains(line * 64))
+          << "line " << line;
+      if (looped.l2() != nullptr) {
+        ASSERT_EQ(batched.l2()->contains(line * 64),
+                  looped.l2()->contains(line * 64))
+            << "line " << line;
+      }
+    }
   }
 }
 
