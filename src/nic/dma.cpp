@@ -6,27 +6,18 @@ DmaEngine::DmaEngine(sim::Engine& engine, std::string name,
                      const DmaConfig& config)
     : sim::Component(engine, std::move(name)), config_(config) {}
 
-// lint: ok(std-function-hot-path) — per-transfer completion moved into
-// the queued Job, not rebuilt per event; captures are two pointers.
-void DmaEngine::request(std::uint64_t bytes, std::function<void()> done) {
-  pending_.push_back(Job{bytes, std::move(done)});
-  if (!busy_) start_next();
-}
-
 void DmaEngine::start_next() {
   if (pending_.empty()) {
     busy_ = false;
     return;
   }
   busy_ = true;
-  Job job = std::move(pending_.front());
+  const std::uint64_t bytes = pending_.front().bytes;
+  in_flight_ = std::move(pending_.front().done);
   pending_.pop_front();
-  const TimePs duration = config_.setup_ps + job.bytes * config_.ps_per_byte;
-  ++stats_.transfers;
-  stats_.bytes += job.bytes;
-  stats_.busy_time += duration;
-  engine().schedule_in(duration, [this, done = std::move(job.done)] {
-    done();
+  const TimePs duration = config_.setup_ps + bytes * config_.ps_per_byte;
+  engine().schedule_in(duration, [this] {
+    in_flight_.invoke_once();
     start_next();
   });
 }

@@ -9,8 +9,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "common/time.hpp"
 #include "sim/engine.hpp"
@@ -24,36 +25,34 @@ struct DmaConfig {
   TimePs ps_per_byte = 500;  ///< 2 GB/s
 };
 
-struct DmaStats {
-  std::uint64_t transfers = 0;
-  std::uint64_t bytes = 0;
-  TimePs busy_time = 0;
-};
-
 class DmaEngine : public sim::Component {
  public:
   DmaEngine(sim::Engine& engine, std::string name, const DmaConfig& config);
 
   /// Queue a transfer of `bytes`; `done` fires when the last byte lands.
-  // lint: ok(std-function-hot-path) — see dma.cpp justification.
-  void request(std::uint64_t bytes, std::function<void()> done);
-
-  bool busy() const { return busy_; }
-  std::size_t queued() const { return pending_.size(); }
-  const DmaStats& stats() const { return stats_; }
+  /// It must fit EventCallback's inline buffer: a transfer allocates
+  /// nothing.
+  template <typename F>
+  void request(std::uint64_t bytes, F&& done) {
+    static_assert(sim::EventCallback::fits_inline<std::decay_t<F>>);
+    pending_.push_back(Job{bytes, std::forward<F>(done)});
+    if (!busy_) start_next();
+  }
 
  private:
   struct Job {
     std::uint64_t bytes;
-    std::function<void()> done;  // lint: ok(std-function-hot-path) — moved, not copied
+    sim::EventCallback done;
   };
 
   void start_next();
 
   DmaConfig config_;
   std::deque<Job> pending_;
+  /// Completion of the transfer under way, so that its event captures
+  /// only `this` (an EventCallback inside a capture would spill).
+  sim::EventCallback in_flight_;
   bool busy_ = false;
-  DmaStats stats_;
 };
 
 }  // namespace alpu::nic

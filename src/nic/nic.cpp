@@ -209,10 +209,8 @@ void Nic::on_network_delivery(const net::Packet& packet) {
   wake_firmware();
 }
 
-// lint: ok(std-function-hot-path) — jobs capture {this, token}: within the
-// ~16-byte SBO of every mainstream std::function, so no per-job heap.
-void Nic::enqueue_advance(std::function<void()> job) {
-  advance_fifo_.push_back(std::move(job));
+void Nic::enqueue_advance(const Completion& completion) {
+  advance_fifo_.push_back(completion);
   wake_firmware();
 }
 
@@ -378,15 +376,15 @@ sim::Process Nic::firmware() {
       did_work = true;
     }
 
-    // Action 3: advance active requests (DMA completions and protocol
-    // continuations staged by hardware events).
+    // Action 3: advance active requests (the completion records staged
+    // by DMA completions and protocol steps).
     if (!advance_fifo_.empty()) {
-      auto job = std::move(advance_fifo_.front());
+      const Completion completion = advance_fifo_.front();
       advance_fifo_.pop_front();
       const TimePs t = instr(config_.costs.delivery_setup_cycles);
       stats_.firmware_busy += t;
       co_await sim::delay(eng, t);
-      job();
+      complete(completion);
       did_work = true;
     }
 
@@ -854,9 +852,7 @@ sim::Process Nic::handle_packet(RxItem item) {
         data.token = token;
         reliability_.send(data);
         ++stats_.packets_tx;
-        enqueue_advance([this, st] {
-          complete(Completion{st.req_id, st.bytes, 0});
-        });
+        enqueue_advance(Completion{st.req_id, st.bytes, 0});
       });
       co_return;
     }
@@ -871,11 +867,8 @@ sim::Process Nic::handle_packet(RxItem item) {
       stats_.firmware_busy += t;
       co_await sim::delay(eng, t);
       const std::uint32_t bytes = std::min(p.payload_bytes, st.max_bytes);
-      rx_dma_.request(bytes, [this, st, bytes, bits = st.match_bits] {
-        enqueue_advance([this, st, bytes, bits] {
-          complete(Completion{st.req_id, bytes, bits});
-        });
-      });
+      const Completion done{st.req_id, bytes, st.match_bits};
+      rx_dma_.request(bytes, [this, done] { enqueue_advance(done); });
       co_return;
     }
 
@@ -907,12 +900,11 @@ sim::Process Nic::deliver_to_posted(match::Cookie cookie,
         std::min(packet.payload_bytes, info.max_bytes);
     stats_.firmware_busy += t;
     co_await sim::delay(eng, t);
-    rx_dma_.request(bytes, [this, info, bytes, bits = packet.match_bits,
-                            pinned = packet.payload_bytes, budget_reserved] {
+    const Completion done{info.req_id, bytes, packet.match_bits};
+    rx_dma_.request(bytes, [this, done, pinned = packet.payload_bytes,
+                            budget_reserved] {
       if (budget_reserved) release_eager_bytes(pinned);
-      enqueue_advance([this, info, bytes, bits] {
-        complete(Completion{info.req_id, bytes, bits});
-      });
+      enqueue_advance(done);
     });
     co_return;
   }
@@ -1011,9 +1003,7 @@ sim::Process Nic::handle_request(HostRequest request) {
         pkt.match_bits = match::pack(request.envelope);
         pkt.payload_bytes = request.send_bytes;
         inject_matchable(pkt, ticket);
-        enqueue_advance([this, request] {
-          complete(Completion{request.req_id, request.send_bytes, 0});
-        });
+        enqueue_advance(Completion{request.req_id, request.send_bytes, 0});
       });
       co_return;
     }
@@ -1194,12 +1184,10 @@ sim::Process Nic::deliver_from_unexpected(match::Cookie cookie,
     const std::uint32_t bytes = std::min(info.bytes, request.recv_max_bytes);
     stats_.firmware_busy += t;
     co_await sim::delay(eng, t);
-    rx_dma_.request(bytes, [this, request, bytes, bits,
-                            pinned = info.bytes] {
+    const Completion done{request.req_id, bytes, bits};
+    rx_dma_.request(bytes, [this, done, pinned = info.bytes] {
       release_eager_bytes(pinned);
-      enqueue_advance([this, request, bytes, bits] {
-        complete(Completion{request.req_id, bytes, bits});
-      });
+      enqueue_advance(done);
     });
     co_return;
   }

@@ -314,9 +314,9 @@ class Nic : public sim::Component, private EagerAdmission {
   void on_network_delivery(const net::Packet& packet);
   void wake_firmware() { work_.fire(); }
 
-  /// Queue an "advance active request" job for the firmware loop.
-  // lint: ok(std-function-hot-path) — {this, token} captures fit the SBO.
-  void enqueue_advance(std::function<void()> job);
+  /// Queue an "advance active request" job for the firmware loop: the
+  /// completion record it writes once the job's turn comes.
+  void enqueue_advance(const Completion& completion);
 
   /// Emit a completion record toward the host.
   void complete(const Completion& completion);
@@ -456,8 +456,7 @@ class Nic : public sim::Component, private EagerAdmission {
 
   std::deque<RxItem> rx_fifo_;
   std::deque<HostRequest> host_fifo_;
-  // lint: ok(std-function-hot-path) — see enqueue_advance.
-  std::deque<std::function<void()>> advance_fifo_;
+  std::deque<Completion> advance_fifo_;
 
   std::optional<AlpuCtx> posted_ctx_;
   std::optional<AlpuCtx> unexpected_ctx_;

@@ -27,7 +27,8 @@ std::uint32_t Engine::acquire_slot() {
   }
   ALPU_ASSERT(slot_count_ < kSlotMask, "too many concurrent events");
   if ((slot_count_ & kBlockMask) == 0) {
-    blocks_.push_back(std::make_unique<Slot[]>(kSlotsPerBlock));
+    // Default-initialised: a callback buffer is first written by emplace.
+    blocks_.push_back(std::make_unique_for_overwrite<Slot[]>(kSlotsPerBlock));
   }
   return slot_count_++;
 }

@@ -88,6 +88,12 @@ class EventCallback {
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
+  /// True when an F is stored in the inline buffer, not on the heap.
+  template <typename F>
+  static constexpr bool fits_inline =
+      sizeof(F) <= kInlineBytes && alignof(F) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<F>;
+
   /// Invoke the held callable once and destroy it, leaving this empty:
   /// the engine's dispatch, one indirect call per event.  The callable
   /// is destroyed even if it throws.
@@ -103,7 +109,7 @@ class EventCallback {
   void emplace(F0&& f) {
     ALPU_DEBUG_ASSERT(ops_ == nullptr, "emplacing into a full EventCallback");
     using F = std::decay_t<F0>;
-    if constexpr (fits_inline_v<F>) {
+    if constexpr (fits_inline<F>) {
       ::new (static_cast<void*>(&storage_)) F(std::forward<F0>(f));
       ops_ = &InlineOps<F>::ops;
     } else {
@@ -128,11 +134,6 @@ class EventCallback {
     void (*relocate)(void* dst, void* src);  // move-construct dst, destroy src
     void (*destroy)(void* storage);
   };
-
-  template <typename F>
-  static constexpr bool fits_inline_v =
-      sizeof(F) <= kInlineBytes && alignof(F) <= alignof(std::max_align_t) &&
-      std::is_nothrow_move_constructible_v<F>;
 
   /// Destroys the callable on scope exit, so invoke_once destroys it
   /// even when it throws.

@@ -8,7 +8,6 @@
 // the CI must-fail step drives.
 #include <gtest/gtest.h>
 
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -18,33 +17,15 @@
 #include "sim/engine.hpp"
 #include "sim/parallel.hpp"
 #include "sim/process.hpp"
+#include "throwing_checks.hpp"
 #include "workload/chaos.hpp"
 
 namespace {
 
 using namespace alpu;
 using common::TimePs;
-
-struct CheckFailure : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
-[[noreturn]] void throwing_handler(const char*, int, const char* expr,
-                                   const char* msg,
-                                   common::CheckSeverity) {
-  throw CheckFailure(msg != nullptr && msg[0] != '\0' ? msg : expr);
-}
-
-/// Installs the throwing check handler for one test body.
-class ThrowingChecks {
- public:
-  ThrowingChecks()
-      : previous_(common::set_check_failure_handler(throwing_handler)) {}
-  ~ThrowingChecks() { common::set_check_failure_handler(previous_); }
-
- private:
-  common::CheckFailureHandler previous_;
-};
+using testutil::CheckFailure;
+using testutil::ThrowingChecks;
 
 // ----------------------------------------------------------------------
 // Lamport clocks

@@ -1,13 +1,20 @@
 // Unit tests for the host processor model.
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "common/rng.hpp"
+#include "mem/memory_system.hpp"
 #include "mpi/mpi.hpp"
+#include "throwing_checks.hpp"
 #include "workload/scenarios.hpp"
 
 namespace alpu::host {
 namespace {
 
 using mpi::Machine;
+using testutil::CheckFailure;
+using testutil::ThrowingChecks;
 using workload::make_system_config;
 using workload::NicMode;
 
@@ -95,9 +102,9 @@ TEST(Host, BufferAllocationsDoNotOverlap) {
 }
 
 TEST(Host, SteadyStateSubmitCostIsDeterministic) {
-  // The record rings are pre-warmed: the same program started twice in
-  // fresh machines takes exactly the same simulated time (the basis for
-  // every calibration claim).
+  // Ring-record accesses cost a constant L1 hit: the same program
+  // started twice in fresh machines takes exactly the same simulated
+  // time (the basis for every calibration claim).
   auto run_once = [] {
     sim::Engine engine;
     Machine machine(engine, make_system_config(NicMode::kBaseline));
@@ -113,6 +120,54 @@ TEST(Host, SteadyStateSubmitCostIsDeterministic) {
     return engine.run();
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+TEST(Host, RingRecordsAreL1HitsInTheTableIIIHierarchy) {
+  // The host charges `l1_hit_ps` per ring record.  Pin that constant to
+  // the cache model it replaces: Table III's hierarchy, pre-touched as
+  // the rings once were, hits in the L1 on every request-record store
+  // and completion-record load of a seeded stream.
+  const HostConfig config;
+  mem::MemorySystem memory(config.memory);
+  for (mem::Addr k = 0; k < 64; ++k) {
+    (void)memory.store(0xF000'0000 + k * 64, 0);
+    (void)memory.store(0xF800'0000 + k * 64, 0);
+  }
+  common::Xoshiro256 rng(26);
+  TimePs now = 0;
+  for (int i = 0; i < 10'000; ++i) {
+    const mem::Addr k = rng.below(64);
+    ASSERT_EQ(memory.store(0xF000'0000 + k * 64, now),
+              config.memory.l1_hit_ps);
+    ASSERT_EQ(memory.load(0xF800'0000 + k * 64, now),
+              config.memory.l1_hit_ps);
+    now += rng.below(1'000'000);
+  }
+  EXPECT_EQ(memory.l1_stats().misses, 128u);  // the pre-touch's fills
+}
+
+TEST(Host, RejectsAnL1ThatCannotHoldBothRings) {
+  sim::Engine engine;
+  Machine machine(engine, make_system_config(NicMode::kBaseline));
+  const ThrowingChecks checks;
+  // 4 KB direct-mapped gives each of 64 sets a line of each ring; with
+  // 32-byte lines and 2 ways, each even set gets two lines of each.
+  using Shape = std::pair<std::size_t, std::size_t>;  // line bytes, ways
+  for (const auto& [line_bytes, ways] : {Shape{64, 1}, Shape{32, 2}}) {
+    HostConfig config;
+    config.memory.l1 = {
+        .size_bytes = 4 * 1024, .line_bytes = line_bytes, .ways = ways};
+    EXPECT_THROW(Host(engine, "host", machine.nic(0), config), CheckFailure);
+  }
+  // Exactly enough: 8 KB 2-way gives each ring line one of two ways,
+  // whether records use every other line, each line or half of one.
+  for (const std::size_t line_bytes : {32, 64, 128}) {
+    mpi::SystemConfig fits = make_system_config(NicMode::kBaseline);
+    fits.host.memory.l1 = {
+        .size_bytes = 8 * 1024, .line_bytes = line_bytes, .ways = 2};
+    sim::Engine other;
+    EXPECT_NO_THROW(Machine(other, fits));
+  }
 }
 
 TEST(Host, MemoryHierarchyMatchesTableIII) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -261,6 +262,22 @@ TEST(Engine, CallbackGrowingThePoolPastABlockKeepsItsSlot) {
   EXPECT_EQ(sum, 64 * 7);
   EXPECT_EQ(fired, 1'500);
   EXPECT_EQ(e.pending_events(), 0u);
+}
+
+TEST(Engine, DestroyingTheEngineReleasesPendingCaptures) {
+  auto first = std::make_shared<int>(1);
+  auto second = std::make_shared<int>(2);
+  {
+    Engine engine;
+    engine.schedule_at(10, [first] {});
+    // Slots come in blocks of 512: 600 more events reach a second block.
+    for (int i = 0; i < 600; ++i) engine.schedule_at(20, [] {});
+    engine.schedule_at(30, [second] {});
+    EXPECT_EQ(first.use_count(), 2);
+    EXPECT_EQ(second.use_count(), 2);
+  }
+  EXPECT_EQ(first.use_count(), 1);
+  EXPECT_EQ(second.use_count(), 1);
 }
 
 TEST(Engine, RunUntilAdvancesTimeToTheDeadline) {
