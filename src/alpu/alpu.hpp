@@ -152,6 +152,13 @@ class Alpu : public sim::Component, public AlpuDevice {
     catch_up();
     return array_.occupancy();
   }
+  /// The array's counters, plus the inserts a full unit dropped.
+  common::MatchCounters counters() const override {
+    catch_up();
+    common::MatchCounters c = array_.counters();
+    c.inserts_dropped += stats_.inserts_dropped;
+    return c;
+  }
 
   /// Externally visible mode (for tests): true while in insert mode.
   bool in_insert_mode() const {

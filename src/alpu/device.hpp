@@ -18,6 +18,7 @@
 #include "alpu/seu.hpp"
 #include "alpu/types.hpp"
 #include "common/dense.hpp"
+#include "common/stats.hpp"
 
 namespace alpu::hw {
 
@@ -40,6 +41,8 @@ class AlpuDevice {
   virtual std::size_t capacity() const = 0;
   /// Valid entries currently stored.
   virtual std::size_t occupancy() const = 0;
+  /// Probe-level work counters (Nic::match_counters sums them).
+  virtual common::MatchCounters counters() const = 0;
 
   // ---- transient-fault model (models without one use the defaults) ----
 

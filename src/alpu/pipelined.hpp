@@ -76,6 +76,10 @@ class PipelinedAlpu : public sim::Component, public AlpuDevice {
   }
   std::size_t capacity() const override { return rtl_.capacity(); }
   std::size_t occupancy() const override { return rtl_.occupancy(); }
+  /// Only `inserts_dropped`: the RTL datapath counts no probe work.
+  common::MatchCounters counters() const override {
+    return {.inserts_dropped = stats_.inserts_dropped};
+  }
 
   const RtlAlpu& datapath() const { return rtl_; }
   const PipelinedAlpuStats& stats() const { return stats_; }

@@ -45,7 +45,7 @@ Host::Host(sim::Engine& engine, std::string name, nic::Nic& nic,
       buffers_(0x8000'0000) {
   // The rings are the host's only memory traffic, and warm: while the
   // L1 holds both, each record access costs an L1 hit.
-  ALPU_ASSERT(rings_fit(config_.memory.l1),
+  ALPU_ASSERT(rings_fit(config_.l1),
               "host L1 cannot hold both 64-record rings");
   nic_.set_completion_handler(
       [this](const nic::Completion& c) { on_completion(c); });
@@ -59,7 +59,7 @@ PendingHandle Host::submit(nic::HostRequest request) {
   // cost, then the doorbell write crosses the host bus; the NIC sees the
   // descriptor at now + dispatch + doorbell.
   const TimePs dispatch = config_.clock.cycles(config_.request_cycles) +
-                          config_.memory.l1_hit_ps;
+                          config_.l1_hit_ps;
   const TimePs doorbell = nic_.config().doorbell_ps;
   engine().schedule_in(dispatch + doorbell, [this, request] {
     nic_.host_submit(request);
@@ -75,7 +75,7 @@ sim::Process Host::wait(PendingHandle handle) {
   // Reap cost: read the completion record the NIC wrote into its ring.
   co_await sim::delay(engine(),
                       config_.clock.cycles(config_.completion_cycles) +
-                          config_.memory.l1_hit_ps);
+                          config_.l1_hit_ps);
 }
 
 void Host::on_completion(const nic::Completion& completion) {

@@ -30,23 +30,13 @@ struct HostConfig {
   /// Library-side cycles to reap one completion record.
   std::uint32_t completion_cycles = 100;  ///< 50 ns at 2 GHz
 
-  /// Host memory hierarchy (Table III: 64 KB 2-way L1, 512 KB L2,
-  /// 85-90 cycles to main memory — a constant controller portion plus
-  /// the open-row DRAM timing).  The host's only memory traffic is its
-  /// two 64-record rings, and the constructor checks that the L1 holds
-  /// both, so every access costs `l1_hit_ps`.  The L2 and DRAM fields
-  /// describe Table III; that check proves no ring access reaches them.
-  mem::MemorySystemConfig memory{
-      .l1 = {.size_bytes = 64 * 1024, .line_bytes = 64, .ways = 2},
-      .l1_hit_ps = 1'000,  // 2 cycles at 2 GHz
-      .l2 = mem::CacheConfig{.size_bytes = 512 * 1024,
-                             .line_bytes = 64,
-                             .ways = 8},
-      .l2_hit_ps = 6'000,  // 12 cycles
-      .backend_ps = 12'000,  // controller/bus; DRAM timing adds the rest
-      .use_dram = true,
-      .dram = {},
-  };
+  /// Host L1 (Table III: 64 KB 2-way, 64 B lines).  The host's only
+  /// memory traffic is its two 64-record rings, and the constructor
+  /// checks that this L1 holds both, so every ring access costs
+  /// `l1_hit_ps` and none would reach Table III's L2 or main memory,
+  /// which are not modelled.
+  mem::CacheConfig l1{.size_bytes = 64 * 1024, .line_bytes = 64, .ways = 2};
+  TimePs l1_hit_ps = 1'000;  ///< 2 cycles at 2 GHz
 };
 
 /// State of one outstanding request (shared with MPI request handles).

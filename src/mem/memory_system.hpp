@@ -1,21 +1,18 @@
-// Memory-system front end: caches plus a backing store.
+// Memory-system front end: an L1 plus a fixed-latency backing store.
 //
 // A MemorySystem answers the only question a CPU cost model asks:
-// "what does this load/store cost, in time, right now?"  It threads an
-// access through an L1 (and optionally an L2) tag model and charges the
-// backing store — either a fixed-latency local memory (the NIC's case:
-// 30–32 cycles to local SRAM/DRAM, Table III) or the open-row DRAM model
-// (the host's case: 85–90 cycles).
+// "what does this load/store cost, in time?"  It threads an access
+// through the L1 tag model and, on a miss, charges the backing store: the
+// NIC's local memory, 30–32 cycles away (Table III).  No cost depends on
+// when the access happens, so no call takes a time.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 
 #include "common/check.hpp"
 #include "common/time.hpp"
 #include "mem/cache.hpp"
-#include "mem/dram.hpp"
 
 namespace alpu::mem {
 
@@ -23,19 +20,9 @@ using common::TimePs;
 
 struct MemorySystemConfig {
   CacheConfig l1;
-  TimePs l1_hit_ps = 4'000;  ///< 2 cycles at 500 MHz
-
-  std::optional<CacheConfig> l2;  ///< present on the host, absent on the NIC
-  TimePs l2_hit_ps = 0;
-
-  /// Fixed miss-to-backing latency (beyond the last cache level).  Used
-  /// when `use_dram` is false; this is the NIC's 30–32-cycle local memory.
+  TimePs l1_hit_ps = 4'000;    ///< 2 cycles at 500 MHz
+  /// Miss-to-backing latency, charged on top of the L1 hit.
   TimePs backend_ps = 62'000;  ///< 31 cycles at 500 MHz
-
-  /// When true, the backing store is the open-row DRAM model and
-  /// `backend_ps` is added as the constant controller/bus overhead.
-  bool use_dram = false;
-  DramConfig dram;
 };
 
 struct MemorySystemStats {
@@ -48,109 +35,63 @@ struct MemorySystemStats {
 /// the returned latency into their own timelines.
 class MemorySystem {
  public:
-  explicit MemorySystem(const MemorySystemConfig& config);
+  explicit MemorySystem(const MemorySystemConfig& config)
+      : config_(config), l1_(config.l1) {}
 
-  /// Cost of a load of one word within the line containing `addr`.
-  TimePs load(Addr addr, TimePs now) { return access(addr, now, false); }
+  /// Cost of a load of one word within the line containing `addr`.  The
+  /// second parameter is ignored: bench/e2e/layers.cpp still passes a
+  /// time.
+  TimePs load(Addr addr, TimePs = 0) { return access(addr, false); }
 
   /// Cost of a store (write-allocate, write-back).
-  TimePs store(Addr addr, TimePs now) { return access(addr, now, true); }
+  TimePs store(Addr addr) { return access(addr, true); }
 
   /// Cost of a walk that loads `addrs[0, n)` in order after `gap` of CPU
-  /// work each: exactly the sum of gap + load(addrs[i], now + t), with t
-  /// the walk's cost before load i.  Without an L2 or DRAM a miss always
-  /// costs `backend_ps`, so the walk is one Cache::read_run.
-  TimePs load_run(const Addr* addrs, std::size_t n, TimePs now, TimePs gap);
+  /// work each: exactly the sum of gap + load(addrs[i]), in one
+  /// Cache::read_run.
+  TimePs load_run(const Addr* addrs, std::size_t n, TimePs gap) {
+    const std::uint64_t misses = l1_.read_run(addrs, n);
+    const TimePs cost = n * config_.l1_hit_ps + misses * config_.backend_ps;
+    stats_.loads += n;
+    stats_.total_time += cost;
+    return n * gap + cost;
+  }
 
   /// Touch every line of [addr, addr+bytes) and return the summed cost
   /// (models structure-sized reads like pulling a queue entry).
-  TimePs touch_range(Addr addr, std::uint64_t bytes, TimePs now,
-                     bool is_write);
+  TimePs touch_range(Addr addr, std::uint64_t bytes, bool is_write) {
+    const std::uint64_t line = config_.l1.line_bytes;
+    const Addr first = addr / line;
+    const Addr last = (addr + (bytes == 0 ? 0 : bytes - 1)) / line;
+    TimePs total = 0;
+    for (Addr l = first; l <= last; ++l) total += access(l * line, is_write);
+    return total;
+  }
 
   const Cache& l1() const { return l1_; }
   const CacheStats& l1_stats() const { return l1_.stats(); }
-  /// The L2, or null when the configuration has none.
-  const Cache* l2() const { return l2_ ? &*l2_ : nullptr; }
   const MemorySystemStats& stats() const { return stats_; }
-  Cache& l1_mutable() { return l1_; }
 
   /// Drop all cached state (power-on or firmware restart).
-  void flush();
+  void flush() { l1_.flush(); }
 
  private:
-  TimePs access(Addr addr, TimePs now, bool is_write);
+  /// Every modelled load and store funnels through here; it lives in the
+  /// header so that callers inline the whole L1-hit fast path.
+  TimePs access(Addr addr, bool is_write) {
+    ++(is_write ? stats_.stores : stats_.loads);
+    TimePs cost = config_.l1_hit_ps;
+    // A dirty victim's writeback overlaps the fill (write buffers hide
+    // it), so a miss costs one backend hop either way.
+    if (!l1_.access(addr, is_write).hit) cost += config_.backend_ps;
+    stats_.total_time += cost;
+    return cost;
+  }
 
   MemorySystemConfig config_;
   Cache l1_;
-  std::optional<Cache> l2_;
-  std::optional<Dram> dram_;
   MemorySystemStats stats_;
 };
-
-// ---- inline implementations (hot path) --------------------------------
-//
-// Every modelled load and store funnels through access(); keeping it in
-// the header lets callers inline the whole L1-hit fast path.
-
-inline TimePs MemorySystem::access(Addr addr, TimePs now, bool is_write) {
-  if (is_write) {
-    ++stats_.stores;
-  } else {
-    ++stats_.loads;
-  }
-
-  TimePs cost = config_.l1_hit_ps;
-  const CacheAccess a1 = l1_.access(addr, is_write);
-  if (!a1.hit) {
-    bool need_backend = true;
-    if (l2_.has_value()) {
-      cost += config_.l2_hit_ps;
-      const CacheAccess a2 = l2_->access(addr, is_write);
-      need_backend = !a2.hit;
-    }
-    if (need_backend) {
-      cost += config_.backend_ps;
-      if (dram_.has_value()) {
-        cost += dram_->access(addr, now + cost);
-      }
-      // A dirty eviction also costs a writeback; model it as overlapped
-      // with the fill except for one extra backend hop's occupancy, which
-      // at this fidelity we fold into the fill (write buffers hide it).
-    }
-  }
-  stats_.total_time += cost;
-  return cost;
-}
-
-inline TimePs MemorySystem::load_run(const Addr* addrs, std::size_t n,
-                                     TimePs now, TimePs gap) {
-  if (l2_.has_value() || dram_.has_value()) {
-    // DRAM timing depends on each load's start time: one load at a time.
-    TimePs t = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      t += gap;
-      t += load(addrs[i], now + t);
-    }
-    return t;
-  }
-  const std::uint64_t misses = l1_.read_run(addrs, n);
-  const TimePs cost = n * config_.l1_hit_ps + misses * config_.backend_ps;
-  stats_.loads += n;
-  stats_.total_time += cost;
-  return n * gap + cost;
-}
-
-inline TimePs MemorySystem::touch_range(Addr addr, std::uint64_t bytes,
-                                        TimePs now, bool is_write) {
-  const std::uint64_t line = config_.l1.line_bytes;
-  const Addr first = addr / line;
-  const Addr last = (addr + (bytes == 0 ? 0 : bytes - 1)) / line;
-  TimePs total = 0;
-  for (Addr l = first; l <= last; ++l) {
-    total += access(l * line, now + total, is_write);
-  }
-  return total;
-}
 
 /// Bump allocator handing out simulated addresses for NIC/host data
 /// structures, so queue entries occupy realistic, distinct cache lines.

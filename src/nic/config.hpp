@@ -31,7 +31,6 @@ struct FirmwareCosts {
   std::uint32_t post_recv_cycles = 30;       ///< decode a post-recv request
   std::uint32_t send_setup_cycles = 30;      ///< decode + stage a send
   std::uint32_t delivery_setup_cycles = 25;  ///< program a delivery DMA
-  std::uint32_t completion_cycles = 15;      ///< build a completion record
   std::uint32_t rendezvous_cycles = 20;      ///< CTS/RTS protocol step
   std::uint32_t alpu_cmd_cycles = 5;         ///< prepare one ALPU command
   std::uint32_t alpu_poll_cycles = 12;       ///< bookkeeping per result read
@@ -82,13 +81,9 @@ struct NicConfig {
   mem::MemorySystemConfig memory{
       .l1 = {.size_bytes = 32 * 1024, .line_bytes = 64, .ways = 64},
       .l1_hit_ps = 4'000,
-      .l2 = std::nullopt,
-      .l2_hit_ps = 0,
       // Effective line-fill cost beyond the L1 hit charge; together they
       // land the paper's ~64 ns out-of-cache per-entry asymptote.
       .backend_ps = 50'000,
-      .use_dram = false,
-      .dram = {},
   };
 
   // Queue entries occupy two cache lines of NIC memory: a slot in a

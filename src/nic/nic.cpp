@@ -228,7 +228,7 @@ void Nic::complete(const Completion& completion) {
 TimePs Nic::walk_cost_posted(std::size_t first, std::size_t visited) {
   ALPU_ASSERT(first + visited <= posted_.size(), "posted walk past the end");
   stats_.posted_entries_walked += visited;
-  return memory_.load_run(posted_.addrs() + first, visited, engine().now(),
+  return memory_.load_run(posted_.addrs() + first, visited,
                           instr(config_.costs.per_entry_cycles));
 }
 
@@ -237,21 +237,20 @@ TimePs Nic::walk_cost_unexpected(std::size_t first, std::size_t visited) {
               "unexpected walk past the end");
   stats_.unexpected_entries_walked += visited;
   return memory_.load_run(unexpected_.addrs() + first, visited,
-                          engine().now(),
                           instr(config_.costs.per_entry_cycles));
 }
 
 TimePs Nic::erase_cost(mem::Addr state_line) {
   // Unlink work plus a touch of the entry's request-state line.
-  TimePs t = instr(config_.costs.erase_entry_cycles);
-  t += memory_.load(state_line, engine().now() + t);
-  return t;
+  return instr(config_.costs.erase_entry_cycles) + memory_.load(state_line);
 }
 
 TimePs Nic::append_cost(const EntryAddrs& addrs) {
+  // One store per statement: each moves LRU state, and the operands of
+  // `+` are unsequenced.
   TimePs t = instr(config_.costs.append_entry_cycles);
-  t += memory_.store(addrs.match_line, engine().now() + t);
-  t += memory_.store(addrs.state_line, engine().now() + t);
+  t += memory_.store(addrs.match_line);
+  t += memory_.store(addrs.state_line);
   return t;
 }
 
@@ -308,39 +307,20 @@ common::MatchCounters Nic::match_counters() const {
   common::MatchCounters c;
   c += posted_.counters();
   c += unexpected_.counters();
-  if (const hw::Alpu* a = posted_alpu()) {
-    c += a->array().counters();
-    c.inserts_dropped += a->stats().inserts_dropped;
-  }
-  if (const hw::Alpu* a = unexpected_alpu()) {
-    c += a->array().counters();
-    c.inserts_dropped += a->stats().inserts_dropped;
-  }
   for (const auto* ctx : {posted_ctx_ ? &*posted_ctx_ : nullptr,
                           unexpected_ctx_ ? &*unexpected_ctx_ : nullptr}) {
-    if (ctx == nullptr) continue;
-    if (const auto* p =
-            dynamic_cast<const hw::PipelinedAlpu*>(ctx->unit.get())) {
-      c.inserts_dropped += p->stats().inserts_dropped;
-    }
+    if (ctx != nullptr) c += ctx->unit->counters();
   }
   return c;
 }
 
-void Nic::sync_seu_stats() const {
-  stats_.seu_injected = 0;
-  stats_.parity_faults = 0;
-  stats_.scrub_sweeps = 0;
-  stats_.seu_detect_latency_ps = 0;
+hw::SeuStats Nic::seu_stats() const {
+  hw::SeuStats s;
   for (const auto* ctx : {posted_ctx_ ? &*posted_ctx_ : nullptr,
                           unexpected_ctx_ ? &*unexpected_ctx_ : nullptr}) {
-    if (ctx == nullptr) continue;
-    const hw::SeuStats s = ctx->unit->seu_stats();
-    stats_.seu_injected += s.seu_injected;
-    stats_.parity_faults += s.parity_faults;
-    stats_.scrub_sweeps += s.scrub_sweeps;
-    stats_.seu_detect_latency_ps += s.detect_latency_sum_ps;
+    if (ctx != nullptr) s += ctx->unit->seu_stats();
   }
+  return s;
 }
 
 // ---------------------------------------------------------------------------
@@ -382,8 +362,7 @@ sim::Process Nic::firmware() {
       const Completion completion = advance_fifo_.front();
       advance_fifo_.pop_front();
       const TimePs t = instr(config_.costs.delivery_setup_cycles);
-      stats_.firmware_busy += t;
-      co_await sim::delay(eng, t);
+      co_await busy(t);
       complete(completion);
       did_work = true;
     }
@@ -447,8 +426,7 @@ sim::Process Nic::firmware() {
 
     if (did_work) {
       const TimePs t = instr(config_.costs.loop_overhead_cycles);
-      stats_.firmware_busy += t;
-      co_await sim::delay(eng, t);
+      co_await busy(t);
     } else {
       co_await work_.wait(eng);
     }
@@ -461,7 +439,6 @@ sim::Process Nic::firmware() {
 
 sim::Process Nic::read_match_result(AlpuCtx& ctx, std::uint64_t expected_seq,
                                     hw::Response* out) {
-  auto& eng = engine();
   // Results drained during an insert session are consumed first; they
   // are strictly older than anything still in the result FIFO.
   if (!ctx.drained.empty()) {
@@ -478,8 +455,7 @@ sim::Process Nic::read_match_result(AlpuCtx& ctx, std::uint64_t expected_seq,
     }
     ALPU_ASSERT(out->probe_seq == expected_seq, "drained response out of order with packet stream");
     const TimePs t = instr(config_.costs.alpu_poll_cycles);
-    stats_.firmware_busy += t;
-    co_await sim::delay(eng, t);
+    co_await busy(t);
     co_return;
   }
   for (;;) {
@@ -489,8 +465,7 @@ sim::Process Nic::read_match_result(AlpuCtx& ctx, std::uint64_t expected_seq,
     const TimePs t =
         config_.costs.alpu_result_bus_reads * config_.bus_ps +
         instr(config_.costs.alpu_poll_cycles);
-    stats_.firmware_busy += t;
-    co_await sim::delay(eng, t);
+    co_await busy(t);
     auto r = ctx.unit->pop_result();
     if (!r.has_value()) continue;  // spin: result not ready yet
     ALPU_ASSERT(r->kind != hw::ResponseKind::kStartAck, "unexpected START ACK outside an insert session");
@@ -506,7 +481,6 @@ sim::Process Nic::read_match_result(AlpuCtx& ctx, std::uint64_t expected_seq,
 // ---------------------------------------------------------------------------
 
 sim::Process Nic::update_alpu(AlpuCtx& ctx, bool is_posted) {
-  auto& eng = engine();
   const std::size_t list_size = is_posted ? posted_.size() : unexpected_.size();
   std::size_t pending = list_size - ctx.synced;
   if (pending == 0) co_return;
@@ -527,8 +501,7 @@ sim::Process Nic::update_alpu(AlpuCtx& ctx, bool is_posted) {
 
   // START INSERT (one bus write).
   TimePs t = config_.bus_ps + instr(config_.costs.alpu_cmd_cycles);
-  stats_.firmware_busy += t;
-  co_await sim::delay(eng, t);
+  co_await busy(t);
   if (!ctx.unit->push_command(hw::Command{hw::CommandKind::kStartInsert,
                                           0, 0, 0})) {
     co_return;  // command FIFO full; retry next loop iteration
@@ -541,8 +514,7 @@ sim::Process Nic::update_alpu(AlpuCtx& ctx, bool is_posted) {
   for (;;) {
     const TimePs poll =
         config_.bus_ps + instr(config_.costs.alpu_poll_cycles);
-    stats_.firmware_busy += poll;
-    co_await sim::delay(eng, poll);
+    co_await busy(poll);
     auto r = ctx.unit->pop_result();
     if (!r.has_value()) continue;
     if (r->kind == hw::ResponseKind::kStartAck) {
@@ -564,8 +536,7 @@ sim::Process Nic::update_alpu(AlpuCtx& ctx, bool is_posted) {
   }
   if (is_posted && stale_failure) {
     const TimePs t2 = config_.bus_ps + instr(config_.costs.alpu_cmd_cycles);
-    stats_.firmware_busy += t2;
-    co_await sim::delay(eng, t2);
+    co_await busy(t2);
     const bool ok_stop = ctx.unit->push_command(
         hw::Command{hw::CommandKind::kStopInsert, 0, 0, 0});
     ALPU_ASSERT(ok_stop, "command FIFO overflow on abort STOP INSERT");
@@ -583,8 +554,7 @@ sim::Process Nic::update_alpu(AlpuCtx& ctx, bool is_posted) {
     // An INSERT carries match bits (+ mask for the posted flavour) and
     // the tag: two bus writes.
     const TimePs w = 2 * config_.bus_ps + instr(config_.costs.alpu_cmd_cycles);
-    stats_.firmware_busy += w;
-    co_await sim::delay(eng, w);
+    co_await busy(w);
     hw::Command cmd;
     cmd.kind = hw::CommandKind::kInsert;
     if (is_posted) {
@@ -607,8 +577,7 @@ sim::Process Nic::update_alpu(AlpuCtx& ctx, bool is_posted) {
     while (ctx.unit->result_available()) {
       const TimePs poll =
           config_.bus_ps + instr(config_.costs.alpu_poll_cycles);
-      stats_.firmware_busy += poll;
-      co_await sim::delay(eng, poll);
+      co_await busy(poll);
       auto r = ctx.unit->pop_result();
       if (r.has_value()) ctx.drained.push_back(*r);
     }
@@ -617,8 +586,7 @@ sim::Process Nic::update_alpu(AlpuCtx& ctx, bool is_posted) {
 
   // STOP INSERT.
   t = config_.bus_ps + instr(config_.costs.alpu_cmd_cycles);
-  stats_.firmware_busy += t;
-  co_await sim::delay(eng, t);
+  co_await busy(t);
   const bool ok = ctx.unit->push_command(
       hw::Command{hw::CommandKind::kStopInsert, 0, 0, 0});
   ALPU_ASSERT(ok, "command FIFO overflow on STOP INSERT");
@@ -637,7 +605,6 @@ sim::Process Nic::update_alpu(AlpuCtx& ctx, bool is_posted) {
 // ---------------------------------------------------------------------------
 
 sim::Process Nic::degrade_alpu(AlpuCtx& ctx, bool is_posted, bool parity) {
-  auto& eng = engine();
   if (parity) {
     // Scrub-and-rebuild: responses drained before the fault latched were
     // parity-verified at their own match time (detection precedes every
@@ -657,7 +624,7 @@ sim::Process Nic::degrade_alpu(AlpuCtx& ctx, bool is_posted, bool parity) {
     posted_probe_enabled_ = false;  // idempotent: rejection cleared it
     posted_degraded_ = true;
   }
-  ALPU_LOGF(LogLevel::kDebug, eng.now(), name(),
+  ALPU_LOGF(LogLevel::kDebug, engine().now(), name(),
                "alpu fallback ({}): resetting unit, synced={} forgotten",
                is_posted ? "posted" : "unexpected", ctx.synced);
   // RESET is honoured from Read Command and the command FIFO is serviced
@@ -665,8 +632,7 @@ sim::Process Nic::degrade_alpu(AlpuCtx& ctx, bool is_posted, bool parity) {
   // cost while the FIFO is full.
   for (;;) {
     const TimePs t = config_.bus_ps + instr(config_.costs.alpu_cmd_cycles);
-    stats_.firmware_busy += t;
-    co_await sim::delay(eng, t);
+    co_await busy(t);
     if (ctx.unit->push_command(hw::Command{hw::CommandKind::kReset, 0, 0, 0}))
       break;
   }
@@ -688,7 +654,6 @@ sim::Process Nic::degrade_alpu(AlpuCtx& ctx, bool is_posted, bool parity) {
 // ---------------------------------------------------------------------------
 
 sim::Process Nic::handle_packet(RxItem item) {
-  auto& eng = engine();
   const net::Packet& p = item.packet;
   TimePs t = instr(config_.costs.parse_packet_cycles);
 
@@ -716,8 +681,7 @@ sim::Process Nic::handle_packet(RxItem item) {
       match::Cookie cookie = 0;
 
       if (posted_ctx_.has_value() && item.probe_seq.has_value()) {
-        stats_.firmware_busy += t;
-        co_await sim::delay(eng, t);
+        co_await busy(t);
         t = 0;
         hw::Response r;
         co_await read_match_result(*posted_ctx_, *item.probe_seq, &r);
@@ -744,8 +708,7 @@ sim::Process Nic::handle_packet(RxItem item) {
             // covers the whole list.
             if (posted_ctx_->unit->fault_pending() &&
                 !posted_ctx_->fault_reset_issued) {
-              stats_.firmware_busy += t;
-              co_await sim::delay(eng, t);
+              co_await busy(t);
               t = 0;
               co_await degrade_alpu(*posted_ctx_, /*is_posted=*/true,
                                     /*parity=*/true);
@@ -772,8 +735,7 @@ sim::Process Nic::handle_packet(RxItem item) {
           // (on_network_delivery).  The full software walk below would
           // erase entries the hardware still holds, so reset the unit
           // first and run degraded until Action 4 re-shadows the queue.
-          stats_.firmware_busy += t;
-          co_await sim::delay(eng, t);
+          co_await busy(t);
           t = 0;
           co_await degrade_alpu(*posted_ctx_, /*is_posted=*/true);
         }
@@ -827,8 +789,7 @@ sim::Process Nic::handle_packet(RxItem item) {
         stats_.unexpected_depth_peak = std::max<std::uint64_t>(
             stats_.unexpected_depth_peak, unexpected_.size());
         t += append_cost(addrs);
-        stats_.firmware_busy += t;
-        co_await sim::delay(eng, t);
+        co_await busy(t);
       }
       co_return;
     }
@@ -840,8 +801,7 @@ sim::Process Nic::handle_packet(RxItem item) {
       const RdvzSendState st = *found;
       rdvz_send_.erase(p.token);
       t += instr(config_.costs.rendezvous_cycles);
-      stats_.firmware_busy += t;
-      co_await sim::delay(eng, t);
+      co_await busy(t);
       tx_dma_.request(st.bytes, [this, st, token = p.token] {
         // Cut-through injection at DMA completion (as for eager sends).
         net::Packet data;
@@ -864,8 +824,7 @@ sim::Process Nic::handle_packet(RxItem item) {
       const RdvzRecvState st = *found;
       rdvz_recv_.erase(p.token);
       t += instr(config_.costs.rendezvous_cycles);
-      stats_.firmware_busy += t;
-      co_await sim::delay(eng, t);
+      co_await busy(t);
       const std::uint32_t bytes = std::min(p.payload_bytes, st.max_bytes);
       const Completion done{st.req_id, bytes, st.match_bits};
       rx_dma_.request(bytes, [this, done] { enqueue_advance(done); });
@@ -881,7 +840,6 @@ sim::Process Nic::handle_packet(RxItem item) {
 sim::Process Nic::deliver_to_posted(match::Cookie cookie,
                                     const net::Packet& packet,
                                     TimePs accrued, bool budget_reserved) {
-  auto& eng = engine();
   const PostedInfo* found = posted_info_.find(cookie);
   ALPU_ASSERT(found != nullptr, "posted cookie missing from the info map");
   const PostedInfo info = *found;
@@ -898,8 +856,7 @@ sim::Process Nic::deliver_to_posted(match::Cookie cookie,
   if (packet.kind == net::PacketKind::kEager) {
     const std::uint32_t bytes =
         std::min(packet.payload_bytes, info.max_bytes);
-    stats_.firmware_busy += t;
-    co_await sim::delay(eng, t);
+    co_await busy(t);
     const Completion done{info.req_id, bytes, packet.match_bits};
     rx_dma_.request(bytes, [this, done, pinned = packet.payload_bytes,
                             budget_reserved] {
@@ -915,8 +872,7 @@ sim::Process Nic::deliver_to_posted(match::Cookie cookie,
   t += instr(config_.costs.rendezvous_cycles);
   rdvz_recv_[packet.token] = RdvzRecvState{info.buffer, info.max_bytes,
                                            info.req_id, packet.match_bits};
-  stats_.firmware_busy += t;
-  co_await sim::delay(eng, t);
+  co_await busy(t);
   net::Packet cts;
   cts.src = node_;
   cts.dst = packet.src;
@@ -971,7 +927,6 @@ void Nic::inject_matchable(const net::Packet& packet, std::uint64_t ticket) {
 }
 
 sim::Process Nic::handle_request(HostRequest request) {
-  auto& eng = engine();
 
   if (request.kind == RequestKind::kSend) {
     TimePs t = instr(config_.costs.send_setup_cycles);
@@ -987,8 +942,7 @@ sim::Process Nic::handle_request(HostRequest request) {
       ++stats_.demoted_sends;
     }
     if (request.send_bytes <= config_.eager_threshold && !demoted) {
-      stats_.firmware_busy += t;
-      co_await sim::delay(eng, t);
+      co_await busy(t);
       // Pull the payload from host memory.  The Tx path is cut-through
       // hardware: the packet enters the wire straight from the DMA
       // completion (the firmware staged the descriptor above and is free
@@ -1014,8 +968,7 @@ sim::Process Nic::handle_request(HostRequest request) {
                                       request.send_bytes, request.req_id,
                                       request.dst};
     t += instr(config_.costs.rendezvous_cycles);
-    stats_.firmware_busy += t;
-    co_await sim::delay(eng, t);
+    co_await busy(t);
     net::Packet rts;
     rts.src = node_;
     rts.dst = request.dst;
@@ -1045,8 +998,7 @@ sim::Process Nic::handle_request(HostRequest request) {
     // heuristic applied on the probe side).
     const std::uint64_t seq = unexpected_ctx_->next_probe_seq++;
     t += config_.bus_ps + instr(config_.costs.alpu_cmd_cycles);
-    stats_.firmware_busy += t;
-    co_await sim::delay(eng, t);
+    co_await busy(t);
     t = 0;
     const hw::Probe probe{request.pattern.bits, request.pattern.mask, seq};
     bool pushed = unexpected_ctx_->unit->push_probe(probe);
@@ -1059,8 +1011,7 @@ sim::Process Nic::handle_request(HostRequest request) {
     for (unsigned retry = 0; !pushed && retry < 8; ++retry) {
       ++stats_.alpu_probe_retries;
       const TimePs w = config_.bus_ps + instr(config_.costs.alpu_poll_cycles);
-      stats_.firmware_busy += w;
-      co_await sim::delay(eng, w);
+      co_await busy(w);
       pushed = unexpected_ctx_->unit->push_probe(probe);
     }
     if (pushed) {
@@ -1082,8 +1033,7 @@ sim::Process Nic::handle_request(HostRequest request) {
           // after the reset, so search-from-synced is the full walk.
           if (unexpected_ctx_->unit->fault_pending() &&
               !unexpected_ctx_->fault_reset_issued) {
-            stats_.firmware_busy += t;
-            co_await sim::delay(eng, t);
+            co_await busy(t);
             t = 0;
             co_await degrade_alpu(*unexpected_ctx_, /*is_posted=*/false,
                                   /*parity=*/true);
@@ -1160,14 +1110,12 @@ sim::Process Nic::handle_request(HostRequest request) {
   }
   ++stats_.posted_appends;
   t += append_cost(addrs);
-  stats_.firmware_busy += t;
-  co_await sim::delay(eng, t);
+  co_await busy(t);
 }
 
 sim::Process Nic::deliver_from_unexpected(match::Cookie cookie,
                                           const HostRequest& request,
                                           TimePs accrued) {
-  auto& eng = engine();
   const std::size_t index = unexpected_index_of(cookie);
   const UnexpectedInfo* found = unexpected_info_.find(cookie);
   ALPU_ASSERT(found != nullptr,
@@ -1182,8 +1130,7 @@ sim::Process Nic::deliver_from_unexpected(match::Cookie cookie,
     // The payload was buffered in NIC memory on arrival; stream it to
     // the host buffer now.
     const std::uint32_t bytes = std::min(info.bytes, request.recv_max_bytes);
-    stats_.firmware_busy += t;
-    co_await sim::delay(eng, t);
+    co_await busy(t);
     const Completion done{request.req_id, bytes, bits};
     rx_dma_.request(bytes, [this, done, pinned = info.bytes] {
       release_eager_bytes(pinned);
@@ -1199,8 +1146,7 @@ sim::Process Nic::deliver_from_unexpected(match::Cookie cookie,
   rdvz_recv_[info.token] = RdvzRecvState{request.recv_buffer,
                                          request.recv_max_bytes,
                                          request.req_id, bits};
-  stats_.firmware_busy += t;
-  co_await sim::delay(eng, t);
+  co_await busy(t);
   net::Packet cts;
   cts.src = node_;
   cts.dst = info.src;

@@ -71,17 +71,9 @@ struct NicStats {
   std::uint64_t alpu_fallback_resets = 0;   ///< ALPU reset to enter fallback
   std::uint64_t alpu_fallback_searches = 0;  ///< software walks while degraded
 
-  // Transient-fault subsystem (zero unless an SEU model is configured).
-  // The first three are mirrored from the units' own counters by
-  // stats(); `rebuilds` is firmware-side: parity-triggered reset +
-  // re-shadow recoveries that completed.
-  std::uint64_t seu_injected = 0;    ///< bit flips landed in the planes
-  std::uint64_t parity_faults = 0;   ///< detection episodes (quarantines)
-  std::uint64_t scrub_sweeps = 0;    ///< background verify sweeps
-  std::uint64_t rebuilds = 0;        ///< completed scrub-and-rebuild recoveries
-  /// Summed injection-to-detection latency over all detection episodes
-  /// (divide by `parity_faults` for the mean).  Mirrored from the units.
-  common::TimePs seu_detect_latency_ps = 0;
+  /// Completed scrub-and-rebuild recoveries (parity-triggered reset +
+  /// re-shadow); the units count the faults themselves (Nic::seu_stats).
+  std::uint64_t rebuilds = 0;
 
   // Eager-resource occupancy (tracked even with unlimited budgets, so
   // sweeps can report what an incast would have pinned).
@@ -133,14 +125,14 @@ class Nic : public sim::Component, private EagerAdmission {
 
   net::NodeId node() const { return node_; }
   const NicConfig& config() const { return config_; }
-  const NicStats& stats() const {
-    sync_seu_stats();
-    return stats_;
-  }
+  const NicStats& stats() const { return stats_; }
   /// Probe-level work counters summed over the software match lists and
-  /// any attached transaction-level ALPUs (probes issued, comparator
-  /// cells scanned, entries moved by deletion compaction).
+  /// the attached units (probes issued, comparator cells scanned,
+  /// entries moved by deletion compaction, inserts a full unit dropped).
   common::MatchCounters match_counters() const;
+  /// Transient-fault counters summed over the attached units (zero
+  /// unless an SEU model is configured).
+  hw::SeuStats seu_stats() const;
   /// The link-reliability sublayer (pass-through when disabled).
   const ReliabilityLayer& reliability() const { return reliability_; }
   mem::MemorySystem& memory() { return memory_; }
@@ -161,14 +153,6 @@ class Nic : public sim::Component, private EagerAdmission {
   bool undrained_work() const;
   std::string stall_snapshot() const;
 
-  /// The attached units through the model-independent interface
-  /// (nullptr when not attached).
-  const hw::AlpuDevice* posted_alpu_device() const {
-    return posted_ctx_ ? posted_ctx_->unit.get() : nullptr;
-  }
-  const hw::AlpuDevice* unexpected_alpu_device() const {
-    return unexpected_ctx_ ? unexpected_ctx_->unit.get() : nullptr;
-  }
   /// Transaction-level view (nullptr when absent OR when the NIC runs
   /// the pipelined model).
   const hw::Alpu* posted_alpu() const {
@@ -285,10 +269,6 @@ class Nic : public sim::Component, private EagerAdmission {
   sim::Process degrade_alpu(AlpuCtx& ctx, bool is_posted,
                             bool parity = false);
 
-  /// Mirror the units' fault counters into stats_ (stats_ is mutable
-  /// so const readers always see current values).
-  void sync_seu_stats() const;
-
   /// Read the next ALPU response for `expected_seq`, spinning on the
   /// result FIFO over the bus; consumes drained responses first.
   sim::Process read_match_result(AlpuCtx& ctx, std::uint64_t expected_seq,
@@ -298,6 +278,12 @@ class Nic : public sim::Component, private EagerAdmission {
 
   common::TimePs instr(std::uint32_t cycles) const {
     return config_.clock.cycles(cycles);
+  }
+  /// The one firmware charge path: count `t` in NicStats::firmware_busy
+  /// and return the delay the firmware awaits (`co_await busy(t)`).
+  sim::DelayAwaiter busy(common::TimePs t) {
+    stats_.firmware_busy += t;
+    return sim::delay(engine(), t);
   }
   /// Cost of software-walking `visited` entries starting at `first`
   /// (touches each entry's match line through the cache model).
@@ -474,7 +460,7 @@ class Nic : public sim::Component, private EagerAdmission {
   std::function<void(const Completion&)> on_completion_;
   sim::Trigger work_;
   sim::ProcessPool pool_;
-  mutable NicStats stats_;
+  NicStats stats_;
 };
 
 }  // namespace alpu::nic

@@ -54,6 +54,11 @@ void Trigger::fire() {
     w.engine->schedule_in(0, [h = w.handle] { h.resume(); });
 #endif
   }
+  // Hand the storage back so the next wait() does not allocate.  Nothing
+  // can have waited meanwhile: the resumes run from the event queue.
+  ALPU_ASSERT(waiters_.empty(), "a process waited while the trigger fired");
+  current.clear();
+  waiters_.swap(current);
 }
 
 }  // namespace alpu::sim

@@ -212,11 +212,12 @@ ChaosResult run_chaos(const ChaosParams& params) {
     res.probe_rejections += n.stats().alpu_probe_rejections;
     res.fallback_resets += n.stats().alpu_fallback_resets;
     res.fallback_searches += n.stats().alpu_fallback_searches;
-    res.seu_injected += n.stats().seu_injected;
-    res.parity_faults += n.stats().parity_faults;
-    res.scrub_sweeps += n.stats().scrub_sweeps;
+    const hw::SeuStats seu = n.seu_stats();
+    res.seu_injected += seu.seu_injected;
+    res.parity_faults += seu.parity_faults;
+    res.scrub_sweeps += seu.scrub_sweeps;
     res.rebuilds += n.stats().rebuilds;
-    res.seu_detect_latency_ps += n.stats().seu_detect_latency_ps;
+    res.seu_detect_latency_ps += seu.detect_latency_sum_ps;
     res.peak_pool_bytes =
         std::max(res.peak_pool_bytes, n.stats().eager_pool_peak_bytes);
     res.peak_unexpected_slots =

@@ -176,9 +176,10 @@ LatencyResult collect(mpi::Machine& m, TimePs latency) {
     out.link_failures += m.nic(r).reliability().stats().link_failures;
     out.alpu_probe_rejections += m.nic(r).stats().alpu_probe_rejections;
     out.alpu_fallback_resets += m.nic(r).stats().alpu_fallback_resets;
-    out.seu_injected += m.nic(r).stats().seu_injected;
-    out.parity_faults += m.nic(r).stats().parity_faults;
-    out.scrub_sweeps += m.nic(r).stats().scrub_sweeps;
+    const hw::SeuStats seu = m.nic(r).seu_stats();
+    out.seu_injected += seu.seu_injected;
+    out.parity_faults += seu.parity_faults;
+    out.scrub_sweeps += seu.scrub_sweeps;
     out.rebuilds += m.nic(r).stats().rebuilds;
     out.peak_unexpected_depth = std::max(out.peak_unexpected_depth,
                                          m.nic(r).stats().unexpected_depth_peak);

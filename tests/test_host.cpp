@@ -124,24 +124,20 @@ TEST(Host, SteadyStateSubmitCostIsDeterministic) {
 
 TEST(Host, RingRecordsAreL1HitsInTheTableIIIHierarchy) {
   // The host charges `l1_hit_ps` per ring record.  Pin that constant to
-  // the cache model it replaces: Table III's hierarchy, pre-touched as
-  // the rings once were, hits in the L1 on every request-record store
-  // and completion-record load of a seeded stream.
+  // a cache model of Table III's L1: pre-touched as the rings once were,
+  // it hits on every request-record store and completion-record load of
+  // a seeded stream.
   const HostConfig config;
-  mem::MemorySystem memory(config.memory);
+  mem::MemorySystem memory({.l1 = config.l1, .l1_hit_ps = config.l1_hit_ps});
   for (mem::Addr k = 0; k < 64; ++k) {
-    (void)memory.store(0xF000'0000 + k * 64, 0);
-    (void)memory.store(0xF800'0000 + k * 64, 0);
+    (void)memory.store(0xF000'0000 + k * 64);
+    (void)memory.store(0xF800'0000 + k * 64);
   }
   common::Xoshiro256 rng(26);
-  TimePs now = 0;
   for (int i = 0; i < 10'000; ++i) {
     const mem::Addr k = rng.below(64);
-    ASSERT_EQ(memory.store(0xF000'0000 + k * 64, now),
-              config.memory.l1_hit_ps);
-    ASSERT_EQ(memory.load(0xF800'0000 + k * 64, now),
-              config.memory.l1_hit_ps);
-    now += rng.below(1'000'000);
+    ASSERT_EQ(memory.store(0xF000'0000 + k * 64), config.l1_hit_ps);
+    ASSERT_EQ(memory.load(0xF800'0000 + k * 64), config.l1_hit_ps);
   }
   EXPECT_EQ(memory.l1_stats().misses, 128u);  // the pre-touch's fills
 }
@@ -155,7 +151,7 @@ TEST(Host, RejectsAnL1ThatCannotHoldBothRings) {
   using Shape = std::pair<std::size_t, std::size_t>;  // line bytes, ways
   for (const auto& [line_bytes, ways] : {Shape{64, 1}, Shape{32, 2}}) {
     HostConfig config;
-    config.memory.l1 = {
+    config.l1 = {
         .size_bytes = 4 * 1024, .line_bytes = line_bytes, .ways = ways};
     EXPECT_THROW(Host(engine, "host", machine.nic(0), config), CheckFailure);
   }
@@ -163,7 +159,7 @@ TEST(Host, RejectsAnL1ThatCannotHoldBothRings) {
   // whether records use every other line, each line or half of one.
   for (const std::size_t line_bytes : {32, 64, 128}) {
     mpi::SystemConfig fits = make_system_config(NicMode::kBaseline);
-    fits.host.memory.l1 = {
+    fits.host.l1 = {
         .size_bytes = 8 * 1024, .line_bytes = line_bytes, .ways = 2};
     sim::Engine other;
     EXPECT_NO_THROW(Machine(other, fits));
@@ -172,11 +168,9 @@ TEST(Host, RejectsAnL1ThatCannotHoldBothRings) {
 
 TEST(Host, MemoryHierarchyMatchesTableIII) {
   const HostConfig config;
-  EXPECT_EQ(config.memory.l1.size_bytes, 64u * 1024u);
-  EXPECT_EQ(config.memory.l1.ways, 2u);
-  ASSERT_TRUE(config.memory.l2.has_value());
-  EXPECT_EQ(config.memory.l2->size_bytes, 512u * 1024u);
-  EXPECT_TRUE(config.memory.use_dram);
+  EXPECT_EQ(config.l1.size_bytes, 64u * 1024u);
+  EXPECT_EQ(config.l1.line_bytes, 64u);
+  EXPECT_EQ(config.l1.ways, 2u);
   EXPECT_EQ(config.clock.period(), 500u);  // 2 GHz
 }
 

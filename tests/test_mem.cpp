@@ -1,10 +1,9 @@
-// Unit tests for the memory models: cache, DRAM, memory system, heap.
+// Unit tests for the memory models: cache, memory system, heap.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "mem/cache.hpp"
-#include "mem/dram.hpp"
 #include "mem/memory_system.hpp"
 
 namespace alpu::mem {
@@ -150,121 +149,43 @@ TEST(Cache, FlushedCacheReplaysAFreshOne) {
   EXPECT_GT(fresh.stats().writebacks, 0u);
 }
 
-// ---- DRAM ------------------------------------------------------------------
-
-DramConfig dram_cfg() {
-  return DramConfig{.banks = 2,
-                    .row_bytes = 1024,
-                    .column_ps = 20'000,
-                    .activate_ps = 25'000,
-                    .precharge_ps = 20'000,
-                    .data_beat_ps = 5'000};
-}
-
-TEST(Dram, FirstAccessActivatesRow) {
-  Dram d(dram_cfg());
-  // No row open: activate + column + beat (no precharge needed).
-  EXPECT_EQ(d.access(0, 0), 25'000u + 20'000u + 5'000u);
-  EXPECT_EQ(d.stats().row_misses, 1u);
-}
-
-TEST(Dram, RowHitIsCheap) {
-  Dram d(dram_cfg());
-  (void)d.access(0, 0);
-  const common::TimePs t = d.access(64, 1'000'000);
-  EXPECT_EQ(t, 20'000u + 5'000u);  // column + beat
-  EXPECT_EQ(d.stats().row_hits, 1u);
-}
-
-TEST(Dram, RowConflictPaysPrecharge) {
-  Dram d(dram_cfg());
-  (void)d.access(0, 0);
-  // Same bank, different row: rows interleave across banks, so row 0 and
-  // row 2 of the address space share bank 0.
-  const common::TimePs t = d.access(2 * 1024, 1'000'000);
-  EXPECT_EQ(t, 20'000u + 25'000u + 20'000u + 5'000u);
-  EXPECT_EQ(d.stats().row_misses, 2u);
-}
-
-TEST(Dram, BusyBankQueuesAccess) {
-  Dram d(dram_cfg());
-  const common::TimePs t1 = d.access(0, 0);
-  // Immediately access the same bank again: must wait for the first.
-  const common::TimePs t2 = d.access(64, 0);
-  EXPECT_EQ(t2, t1 + 20'000u + 5'000u);  // wait + row hit
-  EXPECT_EQ(d.stats().stalled_accesses, 1u);
-}
-
-TEST(Dram, DifferentBanksProceedInParallel) {
-  Dram d(dram_cfg());
-  (void)d.access(0, 0);          // bank 0
-  const common::TimePs t = d.access(1024, 0);  // row 1 -> bank 1
-  EXPECT_EQ(t, 25'000u + 20'000u + 5'000u);    // no stall
-  EXPECT_EQ(d.stats().stalled_accesses, 0u);
-}
-
 // ---- MemorySystem ----------------------------------------------------------
 
 MemorySystemConfig nic_mem() {
   return MemorySystemConfig{
       .l1 = {.size_bytes = 1024, .line_bytes = 64, .ways = 4},
       .l1_hit_ps = 4'000,
-      .l2 = std::nullopt,
-      .l2_hit_ps = 0,
       .backend_ps = 50'000,
-      .use_dram = false,
-      .dram = {},
   };
 }
 
 TEST(MemorySystem, HitAndMissCosts) {
   MemorySystem m(nic_mem());
-  EXPECT_EQ(m.load(0, 0), 4'000u + 50'000u);  // cold miss
-  EXPECT_EQ(m.load(0, 0), 4'000u);            // hit
+  EXPECT_EQ(m.load(0), 4'000u + 50'000u);  // cold miss
+  EXPECT_EQ(m.load(0), 4'000u);            // hit
   EXPECT_EQ(m.stats().loads, 2u);
 }
 
 TEST(MemorySystem, TouchRangeCountsLines) {
   MemorySystem m(nic_mem());
   // 128 bytes spanning exactly 2 lines: two cold misses.
-  EXPECT_EQ(m.touch_range(0, 128, 0, false), 2 * (4'000u + 50'000u));
+  EXPECT_EQ(m.touch_range(0, 128, false), 2 * (4'000u + 50'000u));
   // Again: two hits.
-  EXPECT_EQ(m.touch_range(0, 128, 0, false), 2 * 4'000u);
+  EXPECT_EQ(m.touch_range(0, 128, false), 2 * 4'000u);
   // Unaligned 4-byte touch crossing a line boundary: 2 lines.
-  EXPECT_EQ(m.touch_range(62, 4, 0, false), 2 * 4'000u);
+  EXPECT_EQ(m.touch_range(62, 4, false), 2 * 4'000u);
 }
 
 TEST(MemorySystem, TouchRangeZeroBytesTouchesOneLine) {
   MemorySystem m(nic_mem());
-  EXPECT_EQ(m.touch_range(0, 0, 0, false), 4'000u + 50'000u);
-}
-
-TEST(MemorySystem, L2AbsorbsL1Misses) {
-  MemorySystemConfig cfg = nic_mem();
-  cfg.l2 = CacheConfig{.size_bytes = 4096, .line_bytes = 64, .ways = 8};
-  cfg.l2_hit_ps = 10'000;
-  MemorySystem m(cfg);
-  (void)m.load(0, 0);  // cold: L1 miss, L2 miss, backend
-  m.l1_mutable().flush();
-  // L1 miss but L2 hit: no backend charge.
-  EXPECT_EQ(m.load(0, 0), 4'000u + 10'000u);
-}
-
-TEST(MemorySystem, DramBackendAddsRowTiming) {
-  MemorySystemConfig cfg = nic_mem();
-  cfg.use_dram = true;
-  cfg.dram = dram_cfg();
-  cfg.backend_ps = 10'000;
-  MemorySystem m(cfg);
-  const auto t = m.load(0, 0);
-  EXPECT_EQ(t, 4'000u + 10'000u + (25'000u + 20'000u + 5'000u));
+  EXPECT_EQ(m.touch_range(0, 0, false), 4'000u + 50'000u);
 }
 
 TEST(MemorySystem, FlushRestoresColdBehaviour) {
   MemorySystem m(nic_mem());
-  (void)m.load(0, 0);
+  (void)m.load(0);
   m.flush();
-  EXPECT_EQ(m.load(0, 0), 4'000u + 50'000u);
+  EXPECT_EQ(m.load(0), 4'000u + 50'000u);
 }
 
 // The default configuration is the NIC's Table III shape: a 32 KB 64-way
@@ -279,11 +200,10 @@ std::vector<Addr> lines(std::size_t n) {
 TEST(MemorySystem, LoadRunOfResidentLinesChargesHits) {
   MemorySystem m(MemorySystemConfig{});
   const std::vector<Addr> walk = lines(200);
-  (void)m.load_run(walk.data(), walk.size(), 0, 0);  // cold: fills
+  (void)m.load_run(walk.data(), walk.size(), 0);  // cold: fills
   const MemorySystemStats before = m.stats();
   const common::TimePs gap = 6'000;
-  EXPECT_EQ(m.load_run(walk.data(), walk.size(), 1'000'000, gap),
-            200 * (gap + 4'000));
+  EXPECT_EQ(m.load_run(walk.data(), walk.size(), gap), 200 * (gap + 4'000));
   EXPECT_EQ(m.stats().loads, before.loads + 200);
   EXPECT_EQ(m.stats().total_time, before.total_time + 200 * 4'000);
 }
@@ -296,7 +216,7 @@ TEST(MemorySystem, LoadRunPastTheKneeMissesEveryEntry) {
   const std::vector<Addr> walk = lines(600);
   const common::TimePs gap = 6'000;
   for (int pass = 0; pass < 3; ++pass) {
-    EXPECT_EQ(m.load_run(walk.data(), walk.size(), 0, gap),
+    EXPECT_EQ(m.load_run(walk.data(), walk.size(), gap),
               600 * (gap + 4'000 + 62'000))
         << "pass " << pass;
   }

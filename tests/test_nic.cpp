@@ -417,5 +417,34 @@ TEST(Nic, AlpuHitSkipsSoftwareWalk) {
   ASSERT_TRUE(pool.all_done());
 }
 
+TEST(Nic, MatchCountersSumTheListsAndTheUnits) {
+  // An ALPU-256 pre-posted point whose message matches the 151st of 301
+  // receives: the unit answers it, and the software list erases the
+  // entry.  Only the transaction model counts its array's probe work;
+  // both count dropped inserts.  The values are measured, not derived:
+  // a change to them is a change to what the NIC counts.
+  struct Want {
+    AlpuModelKind model;
+    common::MatchCounters counters;
+  };
+  for (const Want& want :
+       {Want{AlpuModelKind::kTransaction, {302, 192, 255, 0}},
+        Want{AlpuModelKind::kPipelined, {301, 0, 150, 0}}}) {
+    SCOPED_TRACE(want.model == AlpuModelKind::kTransaction ? "transaction"
+                                                           : "pipelined");
+    workload::PrepostedParams p;
+    p.mode = NicMode::kAlpu256;
+    p.queue_length = 300;
+    p.fraction_traversed = 0.5;
+    p.system = make_system_config(NicMode::kAlpu256);
+    p.system->nic.alpu_model = want.model;
+    const common::MatchCounters got = workload::run_preposted(p).match_counters;
+    EXPECT_EQ(got.probes, want.counters.probes);
+    EXPECT_EQ(got.cells_scanned, want.counters.cells_scanned);
+    EXPECT_EQ(got.compaction_moves, want.counters.compaction_moves);
+    EXPECT_EQ(got.inserts_dropped, want.counters.inserts_dropped);
+  }
+}
+
 }  // namespace
 }  // namespace alpu::nic

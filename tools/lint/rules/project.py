@@ -118,3 +118,42 @@ register(Rule(
         SelfTestCase("src/net/x.cpp", "static int counter = 0;",
                      expect_hit=False),
     ]))
+
+
+# --- firmware-charge-path ---------------------------------------------
+#
+# Every firmware cost in the NIC goes through Nic::busy(t), which counts
+# `t` in NicStats::firmware_busy and returns the delay the firmware
+# awaits.  A bare sim::delay in nic.cpp would be firmware time the stats
+# never see; a bare `firmware_busy +=` would be time counted but never
+# spent.  busy() itself lives in nic.hpp.
+
+FIRMWARE_CHARGE = re.compile(r"\bsim::delay\s*\(|\bfirmware_busy\s*\+=")
+
+
+def _check_firmware_charge_path(path, raw_lines, code_lines,
+                                ctx) -> Iterator[tuple[int, str]]:
+    del raw_lines, ctx
+    if path.parts[-3:] != ("src", "nic", "nic.cpp"):
+        return
+    for lineno, code in enumerate(code_lines, start=1):
+        if FIRMWARE_CHARGE.search(code):
+            yield lineno, ("firmware time charged outside Nic::busy "
+                           "(use `co_await busy(t)`)")
+
+
+register(Rule(
+    id="firmware-charge-path", category="project", severity="error",
+    description="sim::delay or firmware_busy += in src/nic/nic.cpp — "
+                "firmware time goes through Nic::busy only",
+    check=_check_firmware_charge_path,
+    self_tests=[
+        SelfTestCase("src/nic/nic.cpp", "co_await sim::delay(eng, t);",
+                     expect_hit=True),
+        SelfTestCase("src/nic/nic.cpp", "stats_.firmware_busy += t;",
+                     expect_hit=True),
+        SelfTestCase("src/nic/nic.cpp", "co_await busy(t);",
+                     expect_hit=False),
+        SelfTestCase("src/nic/nic.hpp", "stats_.firmware_busy += t;",
+                     expect_hit=False),
+    ]))
