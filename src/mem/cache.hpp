@@ -51,14 +51,18 @@ struct CacheAccess {
 /// Tag-only set-associative cache with true-LRU replacement, O(1) per
 /// access at any associativity.  Slots 1..ways of a set hold its ways,
 /// filled lowest-first after a flush and never invalidated one at a
-/// time, so slots [1, fill] are the valid ones.  The set's index maps a
-/// line to its slot (0: empty) in bit_ceil(2 * ways) buckets, with linear
-/// probing and backward-shift deletion.  Its doubly linked list runs from
-/// sentinel slot 0 through the filled slots, MRU to LRU, and back (zeroed
-/// links: empty), so its tail is exactly the true-LRU victim.  A set's
-/// links and index are zeroed at its first access after construction or
-/// a flush, so a run pays only for the sets it touches; a slot's line and
-/// dirty byte are written when it fills.
+/// time, so slots [1, fill] are the valid ones.  A paged line index maps
+/// every cached line to its slot (0: not cached): a page holds the
+/// 16-bit slot numbers of kPageLines consecutive lines, is made zeroed at
+/// the first access to any of them and lives until a flush.  The hot
+/// path reaches a page through a one-page memo, and otherwise scans the
+/// short list of pages (a NIC's two bump heaps reach one page each per
+/// 512 lines).  A set's doubly linked list runs from sentinel slot 0
+/// through the filled slots, MRU to LRU, and back (zeroed links: empty),
+/// so its tail is exactly the true-LRU victim.  A set's links are zeroed
+/// at its first access after construction or a flush, so a run pays only
+/// for the sets it touches; a slot's line and dirty byte are written when
+/// it fills.
 class Cache {
  public:
   explicit Cache(const CacheConfig& config);
@@ -80,34 +84,39 @@ class Cache {
     return misses;
   }
 
-  /// Probe without side effects (used by tests and warm-up accounting).
-  bool contains(Addr addr) const {
-    const Addr line = line_of(addr);
-    return fill_[set_of(line)] != kUntouched && index_[find_bucket(line)] != 0;
-  }
+  /// Probe without side effects: moves no line and makes no page.
+  bool contains(Addr addr) const { return slot_of(line_of(addr)) != 0; }
 
-  /// Invalidate everything (e.g. context switch modelling): O(sets), as
-  /// each set is set up again at its next access.
+  /// Invalidate everything (e.g. context switch modelling): O(sets +
+  /// pages), as each set is set up again at its next access and the pages
+  /// are dropped.
   void flush();
 
   /// O(lines) structural check: in every set set up so far, the recency
   /// list visits each filled slot once, and the index holds exactly
-  /// those.  Each fill or eviction checks its set under ALPU_INVARIANT
-  /// (ALPU_CHECKED only).
-  bool check_invariants() const {
-    for (std::size_t set = 0; set < sets_; ++set) {
-      if (fill_[set] != kUntouched && !set_consistent(set)) return false;
-    }
-    return true;
-  }
+  /// those: each of their lines maps to its slot, and the pages hold no
+  /// other entry.  Each fill or eviction checks its set under
+  /// ALPU_INVARIANT (ALPU_CHECKED only).
+  bool check_invariants() const;
 
   const CacheConfig& config() const { return config_; }
   const CacheStats& stats() const { return stats_; }
 
  private:
-  /// fill_ of a set whose links and index are not set up yet (above any
-  /// real fill: the constructor asserts ways < 65535).
+  /// fill_ of a set whose links are not set up yet (above any real fill:
+  /// the constructor asserts ways < 65535).
   static constexpr std::uint16_t kUntouched = 0xFFFF;
+  /// Lines per index page: 1 KB of slot numbers.
+  static constexpr unsigned kPageShift = 9;
+  static constexpr Addr kPageLines = Addr{1} << kPageShift;
+  /// memo_key_ when no page is memoised: no page key reaches it, as a
+  /// key is a line number shifted right by kPageShift.
+  static constexpr Addr kNoPage = ~Addr{0};
+
+  struct Page {
+    Addr key;  ///< line >> kPageShift of its lines
+    std::unique_ptr<std::uint16_t[]> slots;  ///< kPageLines slot numbers
+  };
 
   /// The one LRU transition behind access() and read_run(), counting
   /// into `st`.  Always inlined, so that read_run's counters stay in
@@ -120,8 +129,7 @@ class Cache {
     const std::size_t base = set * (config_.ways + 1);
     std::uint16_t* prev = &prev_[base];
     std::uint16_t* next = &next_[base];
-    std::size_t pos = find_bucket(line);
-    std::uint16_t slot = index_[pos];
+    std::uint16_t slot = entry(line);
     CacheAccess out{.hit = slot != 0, .evicted_dirty = false};
     ++(out.hit ? st.hits : st.misses);
     if (!out.hit) {
@@ -133,12 +141,11 @@ class Cache {
         ++st.evictions;
         out.evicted_dirty = dirty_[base + slot] != 0;
         if (out.evicted_dirty) ++st.writebacks;
-        erase_bucket(set, find_bucket(lines_[set * config_.ways + slot - 1]));
-        pos = find_bucket(line);  // the shift may have moved the chain end
+        entry(lines_[set * config_.ways + slot - 1]) = 0;
       }
       lines_[set * config_.ways + slot - 1] = line;
       dirty_[base + slot] = 0;
-      index_[pos] = slot;
+      entry(line) = slot;  // after the victim's, so the memo ends here
     }
     // Move the slot to the MRU end of the list.
     next[prev[slot]] = next[slot];
@@ -161,41 +168,39 @@ class Cache {
   std::size_t set_of(Addr line) const {
     return pow2_geometry_ ? line & (sets_ - 1) : line % sets_;
   }
-  /// Bucket `line` hashes to in its set's index (Fibonacci hashing).
-  std::size_t home_of(Addr line) const {
-    return (line * 0x9e3779b97f4a7c15ULL) >> hash_shift_;
+  /// `line`'s index entry, through the memo; makes its page if none is.
+  std::uint16_t& entry(Addr line) {
+    const Addr key = line >> kPageShift;
+    if (key != memo_key_) [[unlikely]] remember(key);
+    return memo_page_[line & (kPageLines - 1)];
   }
-  /// index_ position of `line`'s bucket, or of its chain's empty end.
-  std::size_t find_bucket(Addr line) const {
-    const std::size_t set = set_of(line);
-    const std::size_t first = set * buckets_;
-    std::size_t b = home_of(line);
-    while (index_[first + b] != 0 &&
-           lines_[set * config_.ways + index_[first + b] - 1] != line) {
-      b = (b + 1) & (buckets_ - 1);
-    }
-    return first + b;
+  /// Point the memo at page `key`, making the page if there is none.
+  void remember(Addr key);
+  /// Page `key`'s slot numbers, or nullptr: a scan that skips the memo.
+  std::uint16_t* find_page(Addr key) const;
+  /// `line`'s slot, or 0 if it is not cached.
+  std::uint16_t slot_of(Addr line) const {
+    const std::uint16_t* page = find_page(line >> kPageShift);
+    return page == nullptr ? 0 : page[line & (kPageLines - 1)];
   }
-  /// Zero `set`'s links and index and mark it empty.
+  /// Zero `set`'s links and mark it empty.
   void set_up(std::size_t set);
-  /// Empty index_[pos], pulling later members of its chain back.
-  void erase_bucket(std::size_t set, std::size_t pos);
   bool set_consistent(std::size_t set) const;
 
   CacheConfig config_;
   std::size_t sets_;
-  std::size_t buckets_;               ///< per-set index size, a power of 2
-  unsigned hash_shift_;               ///< 64 - log2(buckets_)
   bool pow2_geometry_;                ///< line_bytes and sets_ powers of 2
   unsigned line_shift_;               ///< log2(line_bytes) if pow2_geometry_
   // The planes start uninitialised; set_up() zeroes a set's share of
-  // prev_, next_ and index_.
+  // prev_ and next_.
   std::unique_ptr<Addr[]> lines_;  ///< sets_ * ways: slot s at way s-1
   std::unique_ptr<std::uint16_t[]> prev_;   ///< sets_ * (ways + 1): newer slot
   std::unique_ptr<std::uint16_t[]> next_;   ///< sets_ * (ways + 1): older slot
   std::unique_ptr<std::uint8_t[]> dirty_;   ///< sets_ * (ways + 1)
-  std::unique_ptr<std::uint16_t[]> index_;  ///< sets_ * buckets_ slot numbers
   std::vector<std::uint16_t> fill_;  ///< filled slots per set, or kUntouched
+  std::vector<Page> pages_;          ///< in the order they were made
+  Addr memo_key_ = kNoPage;          ///< key of the page memo_page_ holds
+  std::uint16_t* memo_page_ = nullptr;
   CacheStats stats_;
 };
 

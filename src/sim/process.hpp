@@ -86,7 +86,7 @@ class FramePool {
     return ::operator new(n);
   }
 
-  static void release_impl(void* p, std::size_t n) noexcept {
+  static void release_impl(void* p, [[maybe_unused]] std::size_t n) noexcept {
 #if ALPU_POOL_COROUTINE_FRAMES
     const std::size_t bucket = (n + 63) >> 6;
     if (bucket < kBuckets) {
